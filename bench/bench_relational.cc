@@ -71,9 +71,8 @@ void BM_IndexProbe(benchmark::State& state) {
   auto engine = MakeEngine(static_cast<int>(state.range(0)),
                            /*with_index=*/true);
   for (auto _ : state) {
-    auto rids = engine->IndexLookup("Flights", "dest",
-                                    Value::String("City3"));
-    benchmark::DoNotOptimize(rids);
+    auto rows = engine->Probe("Flights", {{1, Value::String("City3")}});
+    benchmark::DoNotOptimize(rows);
   }
   state.counters["rows"] =
       benchmark::Counter(static_cast<double>(state.range(0)));

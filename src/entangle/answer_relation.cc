@@ -39,30 +39,13 @@ Status AnswerRelationManager::Install(Transaction* txn,
   YOUTOPIA_RETURN_IF_ERROR(EnsureRelation(relation, tuple));
   // Set semantics: skip if the exact tuple is already present. The
   // check runs under the transaction's lock, so no duplicate can sneak
-  // in. Probe through an index when one exists — answer relations grow
-  // monotonically, and a full scan per install would make installation
-  // quadratic over a long run.
-  auto info = storage_->catalog().GetTable(relation);
-  if (!info.ok()) return info.status();
-  bool checked = false;
-  for (size_t col : info->indexed_columns) {
-    auto rids = txn_manager->IndexLookup(
-        txn, relation, info->schema.column(col).name, tuple.at(col));
-    if (!rids.ok()) return rids.status();
-    for (RowId rid : *rids) {
-      auto existing = txn_manager->Get(txn, relation, rid);
-      if (existing.ok() && existing.value() == tuple) return Status::OK();
-    }
-    checked = true;
-    break;
-  }
-  if (!checked) {
-    auto rows = txn_manager->Scan(txn, relation);
-    if (!rows.ok()) return rows.status();
-    for (const auto& [rid, existing] : *rows) {
-      if (existing == tuple) return Status::OK();
-    }
-  }
+  // in. Every column is a probe key, so an index on the relation keeps
+  // installation from going quadratic as the relation grows.
+  std::vector<ProbeKey> keys;
+  for (size_t i = 0; i < tuple.size(); ++i) keys.push_back({i, tuple.at(i)});
+  auto existing = txn_manager->Probe(txn, relation, keys);
+  if (!existing.ok()) return existing.status();
+  if (!existing->empty()) return Status::OK();
   auto rid = txn_manager->Insert(txn, relation, tuple);
   if (!rid.ok()) return rid.status();
   return Status::OK();

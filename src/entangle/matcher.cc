@@ -5,6 +5,7 @@
 
 #include "common/string_util.h"
 #include "exec/expression_eval.h"
+#include "exec/planner.h"
 
 namespace youtopia {
 
@@ -54,36 +55,18 @@ Result<std::vector<Tuple>> Matcher::StoredCandidates(
     return std::vector<Tuple>{};
   }
 
-  // Index acceleration: probe on a constant term over an indexed column.
+  // Constant terms must match exactly (unification compares Values by
+  // identity), which is the Probe's key semantics.
+  std::vector<ProbeKey> keys;
   for (size_t i = 0; i < constraint.arity(); ++i) {
     const Term& t = constraint.terms[i];
-    if (!t.is_constant()) continue;
-    const std::string& col = info->schema.column(i).name;
-    if (!storage_->HasIndex(constraint.relation, col)) continue;
-    auto rids = storage_->IndexLookup(constraint.relation, col, t.constant);
-    if (!rids.ok()) return rids.status();
-    std::vector<Tuple> out;
-    for (RowId rid : *rids) {
-      auto tuple = storage_->Get(constraint.relation, rid);
-      if (tuple.ok()) out.push_back(tuple.TakeValue());
-    }
-    return out;
+    if (t.is_constant()) keys.push_back({i, t.constant});
   }
-
-  auto rows = storage_->Scan(constraint.relation);
+  auto rows = storage_->Probe(constraint.relation, keys);
   if (!rows.ok()) return rows.status();
   std::vector<Tuple> out;
-  for (auto& [rid, tuple] : *rows) {
-    bool compatible = true;
-    for (size_t i = 0; i < constraint.arity(); ++i) {
-      const Term& t = constraint.terms[i];
-      if (t.is_constant() && t.constant != tuple.at(i)) {
-        compatible = false;
-        break;
-      }
-    }
-    if (compatible) out.push_back(std::move(tuple));
-  }
+  out.reserve(rows->size());
+  for (auto& row : *rows) out.push_back(std::move(row.second));
   return out;
 }
 
@@ -198,13 +181,8 @@ Result<std::optional<std::vector<Value>>> Matcher::EvaluateDomain(
     const DomainPredicate& domain, size_t var_base,
     const Substitution& subst) const {
   // Resolve correlated condition terms; defer if any is unbound.
-  struct ResolvedCondition {
-    std::string column;
-    BinaryOp op;
-    Value rhs;
-  };
-  std::vector<ResolvedCondition> conditions;
-  conditions.reserve(domain.conditions.size());
+  std::vector<Value> rhs;
+  rhs.reserve(domain.conditions.size());
   for (const auto& cond : domain.conditions) {
     const Term global = Globalize(cond.rhs, var_base);
     auto value = ResolveTerm(global, subst);
@@ -214,7 +192,7 @@ Result<std::optional<std::vector<Value>>> Matcher::EvaluateDomain(
       }
       return std::optional<std::vector<Value>>{};  // defer
     }
-    conditions.push_back({cond.column, cond.op, *value});
+    rhs.push_back(std::move(*value));
   }
 
   auto info = storage_->catalog().GetTable(domain.table);
@@ -222,43 +200,31 @@ Result<std::optional<std::vector<Value>>> Matcher::EvaluateDomain(
   auto out_col = info->schema.ColumnIndex(domain.output_column);
   if (!out_col.ok()) return out_col.status();
 
-  // Pre-resolve condition columns.
-  std::vector<size_t> cond_cols;
-  cond_cols.reserve(conditions.size());
-  for (const auto& cond : conditions) {
-    auto idx = info->schema.ColumnIndex(cond.column);
-    if (!idx.ok()) return idx.status();
-    cond_cols.push_back(idx.value());
-  }
-
-  // Fetch rows: index probe on an equality condition when available.
-  std::vector<Tuple> rows;
-  bool used_index = false;
-  for (const auto& cond : conditions) {
-    if (cond.op != BinaryOp::kEq) continue;
-    if (!storage_->HasIndex(domain.table, cond.column)) continue;
-    auto rids = storage_->IndexLookup(domain.table, cond.column, cond.rhs);
-    if (!rids.ok()) return rids.status();
-    for (RowId rid : *rids) {
-      auto tuple = storage_->Get(domain.table, rid);
-      if (tuple.ok()) rows.push_back(tuple.TakeValue());
+  // Equalities the probe answers exactly become its keys; the other
+  // conditions are checked per probed row, as (column, condition) pairs.
+  std::vector<ProbeKey> keys;
+  std::vector<std::pair<size_t, size_t>> residual;
+  for (size_t i = 0; i < domain.conditions.size(); ++i) {
+    auto col = info->schema.ColumnIndex(domain.conditions[i].column);
+    if (!col.ok()) return col.status();
+    std::optional<Value> key;
+    if (domain.conditions[i].op == BinaryOp::kEq) {
+      key = ProbeKeyFor(rhs[i], info->schema.column(col.value()).type);
     }
-    used_index = true;
-    break;
+    if (key.has_value()) {
+      keys.push_back({col.value(), std::move(*key)});
+    } else {
+      residual.emplace_back(col.value(), i);
+    }
   }
-  if (!used_index) {
-    auto scan = storage_->Scan(domain.table);
-    if (!scan.ok()) return scan.status();
-    rows.reserve(scan->size());
-    for (auto& [rid, tuple] : *scan) rows.push_back(std::move(tuple));
-  }
+  auto rows = storage_->Probe(domain.table, keys);
+  if (!rows.ok()) return rows.status();
 
   std::set<Value> values;
-  for (const Tuple& row : rows) {
+  for (const auto& [rid, row] : *rows) {
     bool keep = true;
-    for (size_t i = 0; i < conditions.size(); ++i) {
-      auto ok = CompareValuesBool(conditions[i].op, row.at(cond_cols[i]),
-                                  conditions[i].rhs);
+    for (const auto& [col, i] : residual) {
+      auto ok = CompareValuesBool(domain.conditions[i].op, row.at(col), rhs[i]);
       if (!ok.ok()) return ok.status();
       if (!ok.value()) {
         keep = false;

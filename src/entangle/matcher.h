@@ -155,8 +155,8 @@ class Matcher {
                                  const Substitution& subst,
                                  MatchResult* result);
 
-  /// Stored tuples of `relation` that could match `constraint`
-  /// (index-accelerated when a constant term hits an indexed column).
+  /// Stored tuples of `relation` that could match `constraint`: those
+  /// holding each of its constant terms (StorageEngine::Probe).
   Result<std::vector<Tuple>> StoredCandidates(
       const AnswerAtom& constraint) const;
 

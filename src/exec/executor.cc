@@ -132,13 +132,11 @@ Result<bool> Executor::AnswerContains(const std::string& relation,
         "IN ANSWER %s probe has %zu values, relation has %zu columns",
         relation.c_str(), probe.size(), info->schema.num_columns()));
   }
-  auto rows = snapshot != 0 ? storage_->ScanSnapshot(relation, snapshot)
-                            : storage_->Scan(relation);
+  std::vector<ProbeKey> keys;
+  for (size_t i = 0; i < probe.size(); ++i) keys.push_back({i, probe.at(i)});
+  auto rows = storage_->Probe(relation, keys, snapshot);
   if (!rows.ok()) return rows.status();
-  for (const auto& [rid, tuple] : *rows) {
-    if (tuple == probe) return true;
-  }
-  return false;
+  return !rows->empty();
 }
 
 Result<QueryResult> Executor::ExecuteCreateTable(
@@ -186,29 +184,37 @@ Result<QueryResult> Executor::ExecuteInsert(const InsertStatement& stmt,
   return result;
 }
 
+Result<std::vector<std::pair<RowId, Tuple>>> Executor::MatchingRows(
+    const std::string& table, const Schema& schema, const Expr* where) {
+  BoundColumns columns;
+  columns.AddSource(table, schema, 0);
+  AccessPath path =
+      ChooseAccessPath(SplitConjuncts(where), columns, 0, schema);
+  auto rows = storage_->Probe(table, path.keys);
+  if (!rows.ok()) return rows.status();
+  // The residual (subqueries included) runs here, outside the storage
+  // latches, and before the caller's first write.
+  ExpressionEvaluator eval(&columns, this);
+  std::vector<std::pair<RowId, Tuple>> matching;
+  for (auto& row : *rows) {
+    auto keep = eval.EvaluateConjuncts(path.residual, &row.second);
+    if (!keep.ok()) return keep.status();
+    if (keep.value()) matching.push_back(std::move(row));
+  }
+  return matching;
+}
+
 Result<QueryResult> Executor::ExecuteDelete(const DeleteStatement& stmt,
                                             TxnId txn) {
   auto info = storage_->catalog().GetTable(stmt.table);
   if (!info.ok()) return info.status();
-  BoundColumns columns;
-  columns.AddSource(stmt.table, info->schema, 0);
-  ExpressionEvaluator eval(&columns, this);
-
-  auto rows = storage_->Scan(stmt.table);
+  auto rows = MatchingRows(stmt.table, info->schema, stmt.where.get());
   if (!rows.ok()) return rows.status();
-  QueryResult result;
-  for (const auto& [rid, tuple] : *rows) {
-    bool match = true;
-    if (stmt.where) {
-      auto keep = eval.EvaluatePredicate(*stmt.where, &tuple);
-      if (!keep.ok()) return keep.status();
-      match = keep.value();
-    }
-    if (match) {
-      YOUTOPIA_RETURN_IF_ERROR(storage_->Delete(stmt.table, rid, txn));
-      ++result.affected_rows;
-    }
+  for (const auto& row : *rows) {
+    YOUTOPIA_RETURN_IF_ERROR(storage_->Delete(stmt.table, row.first, txn));
   }
+  QueryResult result;
+  result.affected_rows = rows->size();
   return result;
 }
 
@@ -228,26 +234,24 @@ Result<QueryResult> Executor::ExecuteUpdate(const UpdateStatement& stmt,
     targets.push_back(idx.value());
   }
 
-  auto rows = storage_->Scan(stmt.table);
+  auto rows = MatchingRows(stmt.table, info->schema, stmt.where.get());
   if (!rows.ok()) return rows.status();
-  QueryResult result;
-  for (const auto& [rid, tuple] : *rows) {
-    bool match = true;
-    if (stmt.where) {
-      auto keep = eval.EvaluatePredicate(*stmt.where, &tuple);
-      if (!keep.ok()) return keep.status();
-      match = keep.value();
-    }
-    if (!match) continue;
-    Tuple updated = tuple;
+  // Every new image is computed before the first write, so a SET that
+  // moves a row to another key still updates it exactly once.
+  for (auto& row : *rows) {
+    Tuple updated = row.second;
     for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-      auto v = eval.Evaluate(*stmt.assignments[i].second, &tuple);
+      auto v = eval.Evaluate(*stmt.assignments[i].second, &row.second);
       if (!v.ok()) return v.status();
       updated.at(targets[i]) = v.TakeValue();
     }
-    YOUTOPIA_RETURN_IF_ERROR(storage_->Update(stmt.table, rid, updated, txn));
-    ++result.affected_rows;
+    row.second = std::move(updated);
   }
+  for (const auto& [rid, image] : *rows) {
+    YOUTOPIA_RETURN_IF_ERROR(storage_->Update(stmt.table, rid, image, txn));
+  }
+  QueryResult result;
+  result.affected_rows = rows->size();
   return result;
 }
 

@@ -90,6 +90,12 @@ class Executor {
   Result<QueryResult> ExecuteDelete(const DeleteStatement& stmt, TxnId txn);
   Result<QueryResult> ExecuteUpdate(const UpdateStatement& stmt, TxnId txn);
 
+  /// The current rows of `table` satisfying `where` (null = all), for
+  /// DML: its absorbable equalities go to StorageEngine::Probe, the
+  /// residual is evaluated on the probed rows.
+  Result<std::vector<std::pair<RowId, Tuple>>> MatchingRows(
+      const std::string& table, const Schema& schema, const Expr* where);
+
   StorageEngine* storage_;
   Planner planner_;
 };

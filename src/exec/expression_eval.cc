@@ -119,6 +119,17 @@ Result<bool> ExpressionEvaluator::EvaluatePredicate(const Expr& expr,
   return v->bool_value();
 }
 
+Result<bool> ExpressionEvaluator::EvaluateConjuncts(
+    const std::vector<const Expr*>& conjuncts, const Tuple* row) const {
+  bool all = true;
+  for (const Expr* c : conjuncts) {
+    auto keep = EvaluatePredicate(*c, row);
+    if (!keep.ok()) return keep.status();
+    all = all && keep.value();
+  }
+  return all;
+}
+
 Result<Value> ExpressionEvaluator::EvaluateBinary(const BinaryExpr& expr,
                                                   const Tuple* row) const {
   // Kleene AND/OR need short-circuit-with-null handling.

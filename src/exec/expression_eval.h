@@ -62,6 +62,11 @@ class ExpressionEvaluator {
   /// Evaluates as a filter predicate: true iff result is TRUE.
   Result<bool> EvaluatePredicate(const Expr& expr, const Tuple* row) const;
 
+  /// The AND of `conjuncts` as a filter: true iff every one is TRUE. Like
+  /// the AND operator, evaluates them all, so an error in any surfaces.
+  Result<bool> EvaluateConjuncts(const std::vector<const Expr*>& conjuncts,
+                                 const Tuple* row) const;
+
  private:
   Result<Value> EvaluateBinary(const BinaryExpr& expr, const Tuple* row) const;
   Result<Value> EvaluateComparison(BinaryOp op, const Value& lhs,

@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "common/string_util.h"
 #include "sql/unparser.h"
 
 namespace youtopia {
@@ -16,39 +17,24 @@ std::string PlanNode::ToStringTree(int indent) const {
   return out;
 }
 
-Result<std::vector<Tuple>> SeqScanNode::Execute(ExecContext& ctx) const {
-  auto rows = ctx.snapshot != 0 ? ctx.storage->ScanSnapshot(table_,
-                                                            ctx.snapshot)
-                                : ctx.storage->Scan(table_);
+ScanNode::ScanNode(std::string table, std::vector<ProbeKey> keys,
+                   const Schema& schema)
+    : table_(std::move(table)), keys_(std::move(keys)) {
+  std::vector<std::string> terms;
+  for (const ProbeKey& key : keys_) {
+    terms.push_back(schema.column(key.column).name + " = " +
+                    key.value.ToString());
+  }
+  label_ = "Scan(" + table_ + (terms.empty() ? "" : ": ") +
+           JoinStrings(terms, " AND ") + ")";
+}
+
+Result<std::vector<Tuple>> ScanNode::Execute(ExecContext& ctx) const {
+  auto rows = ctx.storage->Probe(table_, keys_, ctx.snapshot);
   if (!rows.ok()) return rows.status();
   std::vector<Tuple> out;
   out.reserve(rows->size());
-  for (auto& [rid, tuple] : *rows) out.push_back(std::move(tuple));
-  return out;
-}
-
-Result<std::vector<Tuple>> IndexScanNode::Execute(ExecContext& ctx) const {
-  if (ctx.snapshot != 0) {
-    // Snapshot probe: the engine resolves each candidate's visible
-    // version and re-verifies the key (the index also carries keys of
-    // newer or pruned-pending versions).
-    auto rows = ctx.storage->IndexLookupSnapshot(table_, column_, key_,
-                                                 ctx.snapshot);
-    if (!rows.ok()) return rows.status();
-    std::vector<Tuple> out;
-    out.reserve(rows->size());
-    for (auto& [rid, tuple] : *rows) out.push_back(std::move(tuple));
-    return out;
-  }
-  auto rids = ctx.storage->IndexLookup(table_, column_, key_);
-  if (!rids.ok()) return rids.status();
-  std::vector<Tuple> out;
-  out.reserve(rids->size());
-  for (RowId rid : *rids) {
-    auto tuple = ctx.storage->Get(table_, rid);
-    // A row deleted between lookup and fetch is simply skipped.
-    if (tuple.ok()) out.push_back(tuple.TakeValue());
-  }
+  for (auto& row : *rows) out.push_back(std::move(row.second));
   return out;
 }
 
@@ -100,7 +86,7 @@ Result<std::vector<Tuple>> FilterNode::Execute(ExecContext& ctx) const {
   ExpressionEvaluator eval(columns_, ctx.executor, ctx.snapshot);
   std::vector<Tuple> out;
   for (Tuple& row : *input) {
-    auto keep = eval.EvaluatePredicate(*predicate_, &row);
+    auto keep = eval.EvaluateConjuncts(conjuncts_, &row);
     if (!keep.ok()) return keep.status();
     if (keep.value()) out.push_back(std::move(row));
   }
@@ -108,7 +94,13 @@ Result<std::vector<Tuple>> FilterNode::Execute(ExecContext& ctx) const {
 }
 
 std::string FilterNode::ToString() const {
-  return "Filter(" + ExprToSql(*predicate_) + ")";
+  std::vector<std::string> terms;
+  for (const Expr* c : conjuncts_) {
+    const bool is_or = c->kind == ExprKind::kBinary &&
+                       As<BinaryExpr>(*c).op == BinaryOp::kOr;
+    terms.push_back(is_or ? "(" + ExprToSql(*c) + ")" : ExprToSql(*c));
+  }
+  return "Filter(" + JoinStrings(terms, " AND ") + ")";
 }
 
 Result<std::vector<Tuple>> ProjectNode::Execute(ExecContext& ctx) const {

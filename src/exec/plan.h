@@ -33,7 +33,7 @@ class PlanNode {
 
   virtual Result<std::vector<Tuple>> Execute(ExecContext& ctx) const = 0;
 
-  /// One-line operator description, e.g. "SeqScan(Flights)". The admin
+  /// One-line operator description, e.g. "Scan(Flights)". The admin
   /// interface prints plan trees via ToStringTree.
   virtual std::string ToString() const = 0;
 
@@ -48,33 +48,21 @@ class PlanNode {
   std::vector<std::unique_ptr<PlanNode>> children_;
 };
 
-/// Full scan of a heap table.
-class SeqScanNode : public PlanNode {
+/// Access-path leaf: the rows of `table` holding every probe key,
+/// through StorageEngine::Probe (which picks the index at execution
+/// time). No keys = every row.
+class ScanNode : public PlanNode {
  public:
-  explicit SeqScanNode(std::string table) : table_(std::move(table)) {}
+  /// `schema` names the key columns in ToString.
+  ScanNode(std::string table, std::vector<ProbeKey> keys,
+           const Schema& schema);
   Result<std::vector<Tuple>> Execute(ExecContext& ctx) const override;
-  std::string ToString() const override { return "SeqScan(" + table_ + ")"; }
+  std::string ToString() const override { return label_; }
 
  private:
   std::string table_;
-};
-
-/// Hash-index point lookup: rows of `table` where `column` == `key`.
-class IndexScanNode : public PlanNode {
- public:
-  IndexScanNode(std::string table, std::string column, Value key)
-      : table_(std::move(table)), column_(std::move(column)),
-        key_(std::move(key)) {}
-  Result<std::vector<Tuple>> Execute(ExecContext& ctx) const override;
-  std::string ToString() const override {
-    return "IndexScan(" + table_ + "." + column_ + " = " + key_.ToString() +
-           ")";
-  }
-
- private:
-  std::string table_;
-  std::string column_;
-  Value key_;
+  std::vector<ProbeKey> keys_;
+  std::string label_;
 };
 
 /// Cartesian product (conditions are applied by an enclosing Filter).
@@ -109,20 +97,20 @@ class HashJoinNode : public PlanNode {
   size_t right_key_;
 };
 
-/// Keeps rows where `predicate` evaluates to TRUE.
+/// Keeps rows where every conjunct evaluates to TRUE.
 class FilterNode : public PlanNode {
  public:
-  FilterNode(std::unique_ptr<PlanNode> child, const Expr* predicate,
-             const BoundColumns* columns)
-      : predicate_(predicate), columns_(columns) {
+  FilterNode(std::unique_ptr<PlanNode> child,
+             std::vector<const Expr*> conjuncts, const BoundColumns* columns)
+      : conjuncts_(std::move(conjuncts)), columns_(columns) {
     children_.push_back(std::move(child));
   }
   Result<std::vector<Tuple>> Execute(ExecContext& ctx) const override;
   std::string ToString() const override;
 
  private:
-  const Expr* predicate_;       ///< Owned by the statement AST.
-  const BoundColumns* columns_; ///< Owned by the PlannedSelect.
+  std::vector<const Expr*> conjuncts_;  ///< Owned by the statement AST.
+  const BoundColumns* columns_;         ///< Owned by the PlannedSelect.
 };
 
 /// Evaluates the projection expressions for each input row.

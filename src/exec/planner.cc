@@ -1,6 +1,7 @@
 #include "exec/planner.h"
 
-#include "common/string_util.h"
+#include <cmath>
+
 #include "sql/unparser.h"
 
 namespace youtopia {
@@ -22,46 +23,67 @@ std::vector<const Expr*> SplitConjuncts(const Expr* predicate) {
   return out;
 }
 
+std::optional<Value> ProbeKeyFor(const Value& literal, DataType type) {
+  if (literal.is_null()) return std::nullopt;
+  if (literal.type() == type) return literal;
+  // Across INT and DOUBLE, `=` compares as doubles: it agrees with
+  // identity for integral values below 2^53, which are exact either way.
+  constexpr double kExact = 9007199254740992.0;
+  auto d = literal.AsDouble();
+  if ((type != DataType::kInt64 && type != DataType::kDouble) || !d.ok() ||
+      std::fabs(*d) >= kExact || *d != std::trunc(*d)) {
+    return std::nullopt;
+  }
+  return type == DataType::kInt64 ? Value::Int64(static_cast<int64_t>(*d))
+                                  : Value::Double(*d);
+}
+
 namespace {
 
-/// Matches `col = <constant literal>` (either side) against the given
-/// scope; returns (column name, key) if the column belongs to `table_ref`
-/// and is indexed.
-struct IndexableConjunct {
-  std::string column;
-  Value key;
-};
-
-std::optional<IndexableConjunct> MatchIndexable(
-    const Expr* conjunct, const SelectStatement::TableRef& ref,
-    const Schema& schema, const StorageEngine* storage) {
+std::optional<ProbeKey> AbsorbEquality(const Expr* conjunct,
+                                       const BoundColumns& columns,
+                                       size_t base, const Schema& schema) {
   if (conjunct->kind != ExprKind::kBinary) return std::nullopt;
   const auto& b = As<BinaryExpr>(*conjunct);
   if (b.op != BinaryOp::kEq) return std::nullopt;
-
-  const Expr* col_side = nullptr;
-  const Expr* lit_side = nullptr;
-  if (b.left->kind == ExprKind::kColumnRef &&
-      b.right->kind == ExprKind::kLiteral) {
-    col_side = b.left.get();
-    lit_side = b.right.get();
-  } else if (b.right->kind == ExprKind::kColumnRef &&
-             b.left->kind == ExprKind::kLiteral) {
-    col_side = b.right.get();
-    lit_side = b.left.get();
-  } else {
+  const Expr* col_side = b.left.get();
+  const Expr* lit_side = b.right.get();
+  if (col_side->kind == ExprKind::kLiteral) std::swap(col_side, lit_side);
+  if (col_side->kind != ExprKind::kColumnRef ||
+      lit_side->kind != ExprKind::kLiteral) {
     return std::nullopt;
   }
-
   const auto& col = As<ColumnRefExpr>(*col_side);
-  const std::string scope = ref.alias.empty() ? ref.table : ref.alias;
-  if (!col.qualifier.empty() && !EqualsIgnoreCase(col.qualifier, scope)) {
+  auto index = columns.Resolve(col.qualifier, col.column);
+  if (!index.ok() || index.value() < base ||
+      index.value() >= base + schema.num_columns()) {
     return std::nullopt;
   }
-  if (!schema.FindColumn(col.column).has_value()) return std::nullopt;
-  if (!storage->HasIndex(ref.table, col.column)) return std::nullopt;
-  return IndexableConjunct{col.column, As<LiteralExpr>(*lit_side).value};
+  const size_t column = index.value() - base;
+  auto key =
+      ProbeKeyFor(As<LiteralExpr>(*lit_side).value, schema.column(column).type);
+  if (!key.has_value()) return std::nullopt;
+  return ProbeKey{column, std::move(*key)};
 }
+
+}  // namespace
+
+AccessPath ChooseAccessPath(const std::vector<const Expr*>& conjuncts,
+                            const BoundColumns& columns, size_t base,
+                            const Schema& schema) {
+  AccessPath path;
+  for (const Expr* c : conjuncts) {
+    auto key = AbsorbEquality(c, columns, base, schema);
+    if (key.has_value()) {
+      path.keys.push_back(std::move(*key));
+    } else {
+      path.residual.push_back(c);
+    }
+  }
+  return path;
+}
+
+namespace {
 
 /// Matches an equi-join conjunct `x.col = y.col` where one side resolves
 /// in `bound` (columns of the scans already stacked) and the other in
@@ -117,37 +139,32 @@ Result<PlannedSelect> Planner::PlanSelect(const SelectStatement& stmt) const {
   PlannedSelect planned;
   planned.columns = std::make_unique<BoundColumns>();
 
-  // Build scan nodes for each FROM entry and register their columns.
-  std::unique_ptr<PlanNode> root;
+  // Bind every FROM entry first, so a column name that is ambiguous
+  // across tables is never absorbed: it stays residual and the filter
+  // reports it.
+  std::vector<Schema> schemas;
   size_t base = 0;
-  const auto conjuncts = SplitConjuncts(stmt.where.get());
-  // Tracks which conjunct was absorbed into an index scan.
-  const Expr* absorbed = nullptr;
-
-  for (size_t t = 0; t < stmt.from.size(); ++t) {
-    const auto& ref = stmt.from[t];
+  for (const auto& ref : stmt.from) {
     auto info = storage_->catalog().GetTable(ref.table);
     if (!info.ok()) return info.status();
+    planned.columns->AddSource(ref.alias.empty() ? ref.table : ref.alias,
+                               info->schema, base);
+    base += info->schema.num_columns();
+    schemas.push_back(std::move(info->schema));
+  }
+
+  std::unique_ptr<PlanNode> root;
+  std::vector<const Expr*> residual = SplitConjuncts(stmt.where.get());
+  BoundColumns stacked;  // columns of the scans already joined
+  base = 0;
+  for (size_t t = 0; t < stmt.from.size(); ++t) {
+    const auto& ref = stmt.from[t];
     const std::string scope = ref.alias.empty() ? ref.table : ref.alias;
-
-    // Name table for just this scan, used to detect equi-join conjuncts
-    // linking it to the scans already stacked.
-    BoundColumns incoming;
-    incoming.AddSource(scope, info->schema, 0);
-
-    std::unique_ptr<PlanNode> scan;
-    if (stmt.from.size() == 1 && absorbed == nullptr) {
-      for (const Expr* c : conjuncts) {
-        auto m = MatchIndexable(c, ref, info->schema, storage_);
-        if (m.has_value()) {
-          scan = std::make_unique<IndexScanNode>(ref.table, m->column,
-                                                 m->key);
-          absorbed = c;
-          break;
-        }
-      }
-    }
-    if (!scan) scan = std::make_unique<SeqScanNode>(ref.table);
+    AccessPath path =
+        ChooseAccessPath(residual, *planned.columns, base, schemas[t]);
+    residual = std::move(path.residual);
+    auto scan =
+        std::make_unique<ScanNode>(ref.table, std::move(path.keys), schemas[t]);
 
     if (!root) {
       root = std::move(scan);
@@ -155,9 +172,11 @@ Result<PlannedSelect> Planner::PlanSelect(const SelectStatement& stmt) const {
       // Prefer a hash join when a conjunct equates a column of the new
       // table with one of the already-joined tables; otherwise fall
       // back to a cross product (residual filter handles conditions).
+      BoundColumns incoming;
+      incoming.AddSource(scope, schemas[t], 0);
       std::optional<JoinKeys> keys;
-      for (const Expr* c : conjuncts) {
-        keys = MatchEquiJoin(c, *planned.columns, incoming);
+      for (const Expr* c : residual) {
+        keys = MatchEquiJoin(c, stacked, incoming);
         if (keys.has_value()) break;
       }
       if (keys.has_value()) {
@@ -169,17 +188,12 @@ Result<PlannedSelect> Planner::PlanSelect(const SelectStatement& stmt) const {
                                                std::move(scan));
       }
     }
-    planned.columns->AddSource(scope, info->schema, base);
-    base += info->schema.num_columns();
+    stacked.AddSource(scope, schemas[t], base);
+    base += schemas[t].num_columns();
   }
 
-  // Residual filter: everything except the absorbed conjunct. We filter
-  // with the full predicate unless the absorbed conjunct was the whole
-  // WHERE clause (re-checking it would be correct but wasted work only
-  // when it is the sole conjunct).
-  if (stmt.where != nullptr &&
-      !(absorbed != nullptr && conjuncts.size() == 1)) {
-    root = std::make_unique<FilterNode>(std::move(root), stmt.where.get(),
+  if (!residual.empty()) {
+    root = std::make_unique<FilterNode>(std::move(root), std::move(residual),
                                         planned.columns.get());
   }
 

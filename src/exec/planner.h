@@ -2,6 +2,7 @@
 #define YOUTOPIA_EXEC_PLANNER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,10 +22,10 @@ struct PlannedSelect {
   std::vector<std::string> column_names;
 };
 
-/// Translates regular SELECT ASTs to physical plans. Planning picks an
-/// index scan when the single FROM table has an equality conjunct
-/// `col = constant` over an indexed column; everything else becomes
-/// scan → cross join → filter → project.
+/// Translates regular SELECT ASTs to physical plans: one ScanNode per
+/// FROM table carrying that table's absorbable `col = literal` conjuncts
+/// (ChooseAccessPath), hash or cross joins between them, a filter over
+/// the residual conjuncts, then the projection.
 class Planner {
  public:
   explicit Planner(const StorageEngine* storage) : storage_(storage) {}
@@ -39,6 +40,25 @@ class Planner {
 
 /// Splits a predicate into top-level AND conjuncts (borrowed pointers).
 std::vector<const Expr*> SplitConjuncts(const Expr* predicate);
+
+/// `literal` as a probe key for a column of `type`, or nullopt when Value
+/// identity could disagree with SQL `=`: a NULL literal (which `=` never
+/// matches) or one that does not convert losslessly to `type`.
+std::optional<Value> ProbeKeyFor(const Value& literal, DataType type);
+
+/// The conjuncts a StorageEngine::Probe of one table answers, as keys,
+/// and the rest, which the evaluator must still check.
+struct AccessPath {
+  std::vector<ProbeKey> keys;
+  std::vector<const Expr*> residual;
+};
+
+/// Absorbs each `col = literal` conjunct (either side) whose column
+/// resolves unambiguously in `columns` to the table bound at `base` with
+/// `schema`, and whose literal ProbeKeyFor accepts.
+AccessPath ChooseAccessPath(const std::vector<const Expr*>& conjuncts,
+                            const BoundColumns& columns, size_t base,
+                            const Schema& schema);
 
 }  // namespace youtopia
 

@@ -28,6 +28,12 @@ std::string AdminSnapshot::ToString() const {
         static_cast<unsigned long long>(mvcc.watermark),
         mvcc.active_snapshots);
   }
+  out += StringPrintf(
+      "-- Access path --\n  full_walks=%llu rows_copied=%llu "
+      "postings_read=%llu\n",
+      static_cast<unsigned long long>(access.full_walks),
+      static_cast<unsigned long long>(access.rows_copied),
+      static_cast<unsigned long long>(access.postings_read));
   out += "-- Pending entangled queries --\n";
   if (pending.empty()) out += "  (none)\n";
   for (const PendingQueryInfo& p : pending) {
@@ -142,6 +148,7 @@ AdminSnapshot TakeAdminSnapshot(const Youtopia& db) {
   snapshot.mvcc.clock = storage.mvcc().clock();
   snapshot.mvcc.watermark = storage.mvcc().watermark();
   snapshot.mvcc.active_snapshots = storage.mvcc().active_snapshots();
+  snapshot.access = storage.access_stats();
   snapshot.pending = db.coordinator().Pending();
   snapshot.stats = db.coordinator().stats();
   snapshot.shards = db.coordinator().ShardInfos();

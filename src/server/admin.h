@@ -35,6 +35,8 @@ struct AdminSnapshot {
 
   std::vector<TableEntry> tables;
   MvccEntry mvcc;
+  /// Access-path counters (design decision #13).
+  StorageEngine::AccessStats access;
   std::vector<PendingQueryInfo> pending;
   CoordinatorStats stats;
   /// Per-shard breakdown of the coordinator's pending pool and

@@ -71,6 +71,14 @@ void AppendEngineMetrics(const Youtopia& db, std::string* out) {
   AppendMetric("youtopia_coordinator_match_calls_total", "counter",
                static_cast<double>(coord.match_calls), out);
 
+  const StorageEngine::AccessStats access = db.storage().access_stats();
+  AppendMetric("youtopia_storage_full_walks_total", "counter",
+               static_cast<double>(access.full_walks), out);
+  AppendMetric("youtopia_storage_rows_copied_total", "counter",
+               static_cast<double>(access.rows_copied), out);
+  AppendMetric("youtopia_storage_postings_read_total", "counter",
+               static_cast<double>(access.postings_read), out);
+
   const PlanCache::Stats plans = db.plan_cache().stats();
   AppendMetric("youtopia_plan_cache_hits_total", "counter",
                static_cast<double>(plans.hits), out);

@@ -26,6 +26,12 @@ std::vector<RowId> HashIndex::Lookup(const Value& key) const {
   return it->second;
 }
 
+size_t HashIndex::Count(const Value& key) const {
+  ReaderMutexLock lock(latch_);
+  auto it = postings_.find(key);
+  return it == postings_.end() ? 0 : it->second.size();
+}
+
 size_t HashIndex::size() const {
   ReaderMutexLock lock(latch_);
   size_t n = 0;

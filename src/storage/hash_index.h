@@ -30,6 +30,10 @@ class HashIndex {
   /// All row ids for `key` (unordered).
   std::vector<RowId> Lookup(const Value& key) const;
 
+  /// Length of `key`'s posting list (the access path's selectivity
+  /// estimate; no copy).
+  size_t Count(const Value& key) const;
+
   /// Number of postings (for tests/stats).
   size_t size() const;
 

@@ -13,6 +13,15 @@ bool HeadLive(const std::vector<TupleVersion>& chain) {
 
 bool Committed(const TupleVersion& v) { return v.begin_ts != kPendingTs; }
 
+bool HoldsKeys(const Tuple& tuple, const std::vector<ProbeKey>& keys) {
+  for (const ProbeKey& key : keys) {
+    if (key.column >= tuple.size() || tuple.at(key.column) != key.value) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<RowId> HeapTable::Insert(const Tuple& tuple, VersionStamp stamp) {
@@ -27,24 +36,25 @@ Result<RowId> HeapTable::Insert(const Tuple& tuple, VersionStamp stamp) {
   return static_cast<RowId>(slots_.size() - 1);
 }
 
-Result<Tuple> HeapTable::Get(RowId rid) const {
-  ReaderMutexLock lock(latch_);
-  if (rid >= slots_.size() || !HeadLive(slots_[rid])) {
-    return Status::NotFound("no row " + std::to_string(rid) + " in " + name_);
+const Tuple* HeapTable::Visible(const VersionChain& chain, Ts snapshot_ts) {
+  if (snapshot_ts == 0) return HeadLive(chain) ? &chain.front().tuple : nullptr;
+  for (const TupleVersion& v : chain) {
+    if (!Committed(v) || v.begin_ts > snapshot_ts) continue;
+    return v.tombstone ? nullptr : &v.tuple;
   }
-  return slots_[rid].front().tuple;
+  return nullptr;
 }
+
+Result<Tuple> HeapTable::Get(RowId rid) const { return GetVisible(rid, 0); }
 
 Result<Tuple> HeapTable::GetVisible(RowId rid, Ts snapshot_ts) const {
   ReaderMutexLock lock(latch_);
-  if (rid < slots_.size()) {
-    for (const TupleVersion& v : slots_[rid]) {
-      if (!Committed(v) || v.begin_ts > snapshot_ts) continue;
-      if (v.tombstone) break;
-      return v.tuple;
-    }
+  const Tuple* tuple =
+      rid < slots_.size() ? Visible(slots_[rid], snapshot_ts) : nullptr;
+  if (tuple == nullptr) {
+    return Status::NotFound("no row " + std::to_string(rid) + " in " + name_);
   }
-  return Status::NotFound("no row " + std::to_string(rid) + " in " + name_);
+  return *tuple;
 }
 
 bool HeapTable::Contains(RowId rid) const {
@@ -274,26 +284,19 @@ Status HeapTable::LoadSnapshot(
   return Status::OK();
 }
 
-std::vector<std::pair<RowId, Tuple>> HeapTable::Scan() const {
-  ReaderMutexLock lock(latch_);
-  std::vector<std::pair<RowId, Tuple>> out;
-  out.reserve(live_count_);
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (HeadLive(slots_[i])) out.emplace_back(i, slots_[i].front().tuple);
-  }
-  return out;
-}
-
-std::vector<std::pair<RowId, Tuple>> HeapTable::ScanVisible(
+std::vector<std::pair<RowId, Tuple>> HeapTable::Select(
+    const std::vector<RowId>* rids, const std::vector<ProbeKey>& keys,
     Ts snapshot_ts) const {
   ReaderMutexLock lock(latch_);
   std::vector<std::pair<RowId, Tuple>> out;
-  out.reserve(live_count_);
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    for (const TupleVersion& v : slots_[i]) {
-      if (!Committed(v) || v.begin_ts > snapshot_ts) continue;
-      if (!v.tombstone) out.emplace_back(i, v.tuple);
-      break;
+  if (rids == nullptr && keys.empty()) out.reserve(live_count_);
+  const size_t n = rids == nullptr ? slots_.size() : rids->size();
+  for (size_t i = 0; i < n; ++i) {
+    const RowId rid = rids == nullptr ? i : (*rids)[i];
+    if (rid >= slots_.size()) continue;
+    const Tuple* tuple = Visible(slots_[rid], snapshot_ts);
+    if (tuple != nullptr && HoldsKeys(*tuple, keys)) {
+      out.emplace_back(rid, *tuple);
     }
   }
   return out;

@@ -18,6 +18,14 @@ namespace youtopia {
 /// stale RowId reliably reports NotFound rather than aliasing a new row.
 using RowId = uint64_t;
 
+/// One equality key of an access-path probe: a row qualifies only if the
+/// value at `column` is identical (Value ==) to `value`. Callers turn SQL
+/// literals into keys with ProbeKeyFor, so identity agrees with SQL `=`.
+struct ProbeKey {
+  size_t column;
+  Value value;
+};
+
 /// One version of a row. Versions live newest-first in their slot's
 /// chain; a version's end timestamp is implicit — it is the begin_ts of
 /// the next-newer committed version (or "still live" at the head).
@@ -168,21 +176,29 @@ class HeapTable {
   Status LoadSnapshot(size_t slot_count,
                       const std::vector<std::pair<RowId, Tuple>>& rows);
 
-  /// Materialized snapshot of all live (rid, head tuple) pairs in rid
-  /// order. Scans copy: the engine is in-memory and tuples are small,
-  /// and a snapshot keeps iterator semantics trivial under concurrent
-  /// writers.
-  std::vector<std::pair<RowId, Tuple>> Scan() const;
+  /// Copies out the (rid, tuple) pairs that hold every key, in rid
+  /// order, resolving each slot at `snapshot_ts` (see GetVisible) or, when
+  /// it is 0, at its live head version. Visits the ascending slots in
+  /// `rids`, or every slot when `rids` is null. Only key comparisons run
+  /// under the latch.
+  std::vector<std::pair<RowId, Tuple>> Select(const std::vector<RowId>* rids,
+                                              const std::vector<ProbeKey>& keys,
+                                              Ts snapshot_ts) const;
 
-  /// Like Scan, but resolving each slot at `snapshot_ts` (see
-  /// GetVisible).
-  std::vector<std::pair<RowId, Tuple>> ScanVisible(Ts snapshot_ts) const;
+  /// All live (rid, head tuple) pairs in rid order.
+  std::vector<std::pair<RowId, Tuple>> Scan() const {
+    return Select(nullptr, {}, 0);
+  }
 
   /// Removes all rows (admin/test helper). Row ids continue to advance.
   void Clear();
 
  private:
   using VersionChain = std::vector<TupleVersion>;
+
+  /// The tuple a reader at `snapshot_ts` sees in `chain` (0 = the live
+  /// head, pending included), or null.
+  static const Tuple* Visible(const VersionChain& chain, Ts snapshot_ts);
 
   /// Shared pruning logic; caller holds the latch. Returns true when
   /// the chain was emptied.

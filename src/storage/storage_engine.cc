@@ -108,8 +108,14 @@ Status StorageEngine::CreateIndex(const std::string& table,
                                  column);
   }
   auto index = std::make_unique<HashIndex>(col.value());
-  for (const auto& [rid, tuple] : data->heap->Scan()) {
-    index->Insert(tuple.at(col.value()), rid);
+  for (RowId rid = 0; rid < data->heap->slot_count(); ++rid) {
+    std::vector<Value> keys;
+    for (const Tuple& t : data->heap->VersionTuples(rid)) {
+      const Value& key = t.at(col.value());
+      if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
+      keys.push_back(key);
+      index->Insert(key, rid);
+    }
   }
   data->indexes.emplace(col.value(), std::move(index));
   YOUTOPIA_RETURN_IF_ERROR(catalog_.AddIndexedColumn(table, col.value()));
@@ -163,7 +169,7 @@ Status StorageEngine::Delete(const std::string& table, RowId rid, TxnId txn) {
   YOUTOPIA_RETURN_IF_ERROR(data->heap->Delete(rid, stamp));
   // Index keys stay: the deleted version remains visible to older
   // snapshots until the tombstone passes below the low-water mark
-  // (pruning erases them then; IndexLookup filters until it does).
+  // (pruning erases them then; Probe filters until it does).
   if (txn != 0) RecordWrite(txn, table, rid);
   return Status::OK();
 }
@@ -308,79 +314,45 @@ Result<Tuple> StorageEngine::GetSnapshot(const std::string& table, RowId rid,
   return td.value()->heap->GetVisible(rid, snapshot_ts);
 }
 
-Result<std::vector<std::pair<RowId, Tuple>>> StorageEngine::Scan(
-    const std::string& table) const {
+Result<std::vector<std::pair<RowId, Tuple>>> StorageEngine::Probe(
+    const std::string& table, const std::vector<ProbeKey>& keys,
+    Ts snapshot) const {
   ReaderMutexLock lock(tables_mu_);
   auto td = FindTable(table);
   if (!td.ok()) return td.status();
-  return td.value()->heap->Scan();
-}
-
-Result<std::vector<std::pair<RowId, Tuple>>> StorageEngine::ScanSnapshot(
-    const std::string& table, Ts snapshot_ts) const {
-  ReaderMutexLock lock(tables_mu_);
-  auto td = FindTable(table);
-  if (!td.ok()) return td.status();
-  return td.value()->heap->ScanVisible(snapshot_ts);
-}
-
-Result<std::vector<RowId>> StorageEngine::IndexLookup(
-    const std::string& table, const std::string& column,
-    const Value& key) const {
-  auto info = catalog_.GetTable(table);
-  if (!info.ok()) return info.status();
-  auto col = info->schema.ColumnIndex(column);
-  if (!col.ok()) return col.status();
-  ReaderMutexLock lock(tables_mu_);
-  auto td = FindTable(table);
-  if (!td.ok()) return td.status();
-  auto it = td.value()->indexes.find(col.value());
-  if (it == td.value()->indexes.end()) {
-    return Status::NotFound("no index on " + table + "." + column);
-  }
-  auto rids = it->second->Lookup(key);
-  if (!mvcc_enabled()) return rids;
-  // Versioned indexes keep postings for every retained version's key;
-  // re-verify against the current row so callers get exactly the
-  // unversioned contract ("rows whose column equals key now").
-  std::vector<RowId> current;
-  current.reserve(rids.size());
-  for (RowId rid : rids) {
-    auto tuple = td.value()->heap->Get(rid);
-    if (tuple.ok() && col.value() < tuple->size() &&
-        tuple->at(col.value()) == key) {
-      current.push_back(rid);
+  const TableData* data = td.value();
+  // The shortest posting list among the indexed keys. Each index latch is
+  // released before the heap latch is taken (kHeapTable ranks below
+  // kHashIndex); writers hold tables_mu_ exclusive, so the lists cannot
+  // change in between.
+  const ProbeKey* best = nullptr;
+  const HashIndex* best_index = nullptr;
+  size_t best_count = 0;
+  for (const ProbeKey& key : keys) {
+    auto it = data->indexes.find(key.column);
+    if (it == data->indexes.end()) continue;
+    const size_t count = it->second->Count(key.value);
+    if (best == nullptr || count < best_count) {
+      best = &key;
+      best_index = it->second.get();
+      best_count = count;
     }
   }
-  return current;
-}
-
-Result<std::vector<std::pair<RowId, Tuple>>>
-StorageEngine::IndexLookupSnapshot(const std::string& table,
-                                   const std::string& column,
-                                   const Value& key, Ts snapshot_ts) const {
-  auto info = catalog_.GetTable(table);
-  if (!info.ok()) return info.status();
-  auto col = info->schema.ColumnIndex(column);
-  if (!col.ok()) return col.status();
-  ReaderMutexLock lock(tables_mu_);
-  auto td = FindTable(table);
-  if (!td.ok()) return td.status();
-  auto it = td.value()->indexes.find(col.value());
-  if (it == td.value()->indexes.end()) {
-    return Status::NotFound("no index on " + table + "." + column);
+  std::vector<std::pair<RowId, Tuple>> rows;
+  if (best == nullptr) {
+    full_walks_.fetch_add(1, std::memory_order_relaxed);
+    rows = data->heap->Select(nullptr, keys, snapshot);
+  } else {
+    // Postings cover every retained version's key; Select re-verifies
+    // the keys against the version the reader sees.
+    std::vector<RowId> rids = best_index->Lookup(best->value);
+    postings_read_.fetch_add(rids.size(), std::memory_order_relaxed);
+    std::sort(rids.begin(), rids.end());
+    rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
+    rows = data->heap->Select(&rids, keys, snapshot);
   }
-  std::vector<std::pair<RowId, Tuple>> out;
-  for (RowId rid : it->second->Lookup(key)) {
-    auto tuple = td.value()->heap->GetVisible(rid, snapshot_ts);
-    if (tuple.ok() && col.value() < tuple->size() &&
-        tuple->at(col.value()) == key) {
-      out.emplace_back(rid, tuple.TakeValue());
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
+  rows_copied_.fetch_add(rows.size(), std::memory_order_relaxed);
+  return rows;
 }
 
 bool StorageEngine::HasIndex(const std::string& table,

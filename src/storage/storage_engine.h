@@ -1,6 +1,7 @@
 #ifndef YOUTOPIA_STORAGE_STORAGE_ENGINE_H_
 #define YOUTOPIA_STORAGE_STORAGE_ENGINE_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -24,10 +25,9 @@ namespace youtopia {
 /// With `num_versions >= 2` the engine runs in MVCC mode (design
 /// decision #10): heaps keep version chains, writes carry the writing
 /// transaction id (0 = auto-commit, stamped immediately), CommitTxn /
-/// AbortTxn stamp or discard a transaction's pending versions, and the
-/// snapshot read family (GetSnapshot / ScanSnapshot /
-/// IndexLookupSnapshot) resolves visibility at a timestamp without any
-/// 2PL lock. `num_versions == 1` (the default) is byte-for-byte the
+/// AbortTxn stamp or discard a transaction's pending versions, and
+/// GetSnapshot / Probe resolve visibility at a timestamp without any 2PL
+/// lock. `num_versions == 1` (the default) is byte-for-byte the
 /// pre-MVCC engine: single-version heaps, eager index maintenance, the
 /// transaction id arguments ignored.
 class StorageEngine {
@@ -52,11 +52,10 @@ class StorageEngine {
   /// Drops catalog entry, heap and indexes.
   Status DropTable(const std::string& name);
 
-  /// Builds a hash index over `column` of `table`, backfilling from
-  /// current rows (older versions' keys are not backfilled — a snapshot
-  /// opened before the index existed can still be planned onto it and
-  /// miss rows whose key changed since; the same DDL-vs-reader exposure
-  /// the unversioned engine has always had).
+  /// Builds a hash index over `column` of `table`, backfilling the key
+  /// of every retained version (the posting invariant Update relies on:
+  /// a key some version holds is indexed, so Probe finds the row at any
+  /// snapshot).
   Status CreateIndex(const std::string& table, const std::string& column);
 
   /// Validated insert, maintaining all indexes on the table. In MVCC
@@ -73,7 +72,7 @@ class StorageEngine {
   /// Update. Unversioned mode rewrites in place; MVCC mode pushes a new
   /// version. Index keys of still-reachable old versions are kept (a
   /// snapshot reader probing the old key must still find the row);
-  /// IndexLookup re-verifies, so current reads never see them.
+  /// Probe re-verifies, so current reads never see them.
   Status Update(const std::string& table, RowId rid, const Tuple& tuple,
                 TxnId txn = 0);
 
@@ -101,29 +100,34 @@ class StorageEngine {
   Result<Tuple> GetSnapshot(const std::string& table, RowId rid,
                             Ts snapshot_ts) const;
 
-  /// Materialized scan of current rows.
+  /// The access path (design decision #13): rows of `table` whose
+  /// columns equal every key, in RowId order, resolved at `snapshot` (0 =
+  /// current read, pending versions included). Probes the indexed key
+  /// with the shortest posting list, or walks the heap once when no key
+  /// is indexed; either way only matching rows are copied and only Value
+  /// comparisons run under the storage latches. No keys = every row.
+  Result<std::vector<std::pair<RowId, Tuple>>> Probe(
+      const std::string& table, const std::vector<ProbeKey>& keys,
+      Ts snapshot = 0) const;
+
+  /// Every current row (a keyless Probe).
   Result<std::vector<std::pair<RowId, Tuple>>> Scan(
-      const std::string& table) const;
+      const std::string& table) const {
+    return Probe(table, {});
+  }
 
-  /// Materialized scan resolving every slot at `snapshot_ts`.
-  Result<std::vector<std::pair<RowId, Tuple>>> ScanSnapshot(
-      const std::string& table, Ts snapshot_ts) const;
-
-  /// Row ids whose `column` currently equals `key`, via the hash index.
-  /// NotFound if no such index exists. In MVCC mode stale postings
-  /// (older versions' keys not yet pruned) are filtered out here, so
-  /// callers keep the exact unversioned contract.
-  Result<std::vector<RowId>> IndexLookup(const std::string& table,
-                                         const std::string& column,
-                                         const Value& key) const;
-
-  /// Index probe at a snapshot: tuples visible at `snapshot_ts` whose
-  /// `column` equals `key`. The index may carry stale or newer keys for
-  /// a row, so each candidate's visible version is re-verified against
-  /// `key` before it is returned.
-  Result<std::vector<std::pair<RowId, Tuple>>> IndexLookupSnapshot(
-      const std::string& table, const std::string& column, const Value& key,
-      Ts snapshot_ts) const;
+  /// Cumulative Probe counters: heap walks over every slot, rows copied
+  /// out to callers, and index postings read.
+  struct AccessStats {
+    uint64_t full_walks = 0;
+    uint64_t rows_copied = 0;
+    uint64_t postings_read = 0;
+  };
+  AccessStats access_stats() const {
+    return {full_walks_.load(std::memory_order_relaxed),
+            rows_copied_.load(std::memory_order_relaxed),
+            postings_read_.load(std::memory_order_relaxed)};
+  }
 
   /// True if `table`.`column` has a hash index.
   bool HasIndex(const std::string& table, const std::string& column) const;
@@ -178,13 +182,16 @@ class StorageEngine {
   /// strictly before and strictly after the tables_mu_ critical
   /// section.
   MvccController mvcc_;
+  mutable std::atomic<uint64_t> full_walks_{0};
+  mutable std::atomic<uint64_t> rows_copied_{0};
+  mutable std::atomic<uint64_t> postings_read_{0};
   /// Reader/writer latch over the table map and per-table index maps:
-  /// reads (Scan, Get, IndexLookup and their snapshot variants) take it
-  /// shared so concurrent sessions — and executor-pool workers — read
-  /// in parallel; anything that mutates a heap, an index or the map
-  /// itself takes it exclusive. Row-level consistency within one heap
-  /// is additionally guarded by HeapTable's own latch; this latch is
-  /// what keeps the index maps consistent with the heaps.
+  /// reads (Probe, Get and GetSnapshot) take it shared so concurrent
+  /// sessions — and executor-pool workers — read in parallel; anything
+  /// that mutates a heap, an index or the map itself takes it exclusive.
+  /// Row-level consistency within one heap is additionally guarded by
+  /// HeapTable's own latch; this latch is what keeps the index maps
+  /// consistent with the heaps.
   mutable SharedMutex tables_mu_{LockRank::kStorageTables,
                                  "storage_tables"};
   std::unordered_map<std::string, TableData> tables_ GUARDED_BY(tables_mu_);

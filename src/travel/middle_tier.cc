@@ -319,72 +319,54 @@ Status TravelService::EnableInventoryEnforcement() {
           if (EqualsIgnoreCase(relation, kReservationTable)) {
             // (traveler, fno): consume one seat on the flight.
             const Value& fno = tuple.at(1);
-            auto rids = txn_manager->IndexLookup(txn, kFlightsTable, "fno",
-                                                 fno);
-            if (!rids.ok()) return rids.status();
-            if (rids->empty()) {
+            auto flights = txn_manager->Probe(txn, kFlightsTable, {{0, fno}});
+            if (!flights.ok()) return flights.status();
+            if (flights->empty()) {
               return Status::Aborted("no such flight " + fno.ToString());
             }
-            auto flight = txn_manager->Get(txn, kFlightsTable, (*rids)[0]);
-            if (!flight.ok()) return flight.status();
-            const int64_t seats = flight->at(5).int64_value();
+            auto& [rid, flight] = flights->front();
+            const int64_t seats = flight.at(5).int64_value();
             if (seats <= 0) {
               return Status::Aborted("flight " + fno.ToString() +
                                      " is sold out");
             }
-            Tuple updated = flight.TakeValue();
-            updated.at(5) = Value::Int64(seats - 1);
-            YOUTOPIA_RETURN_IF_ERROR(txn_manager->Update(
-                txn, kFlightsTable, (*rids)[0], updated));
+            flight.at(5) = Value::Int64(seats - 1);
+            YOUTOPIA_RETURN_IF_ERROR(
+                txn_manager->Update(txn, kFlightsTable, rid, flight));
           } else if (EqualsIgnoreCase(relation, kHotelReservationTable)) {
             // (traveler, hid): consume one room (any day row works —
             // rooms are tracked per hotel on the first row found).
             const Value& hid = tuple.at(1);
-            auto rows = txn_manager->Scan(txn, kHotelsTable);
-            if (!rows.ok()) return rows.status();
-            bool found = false;
-            for (const auto& [rid, hotel] : *rows) {
-              if (hotel.at(0) != hid) continue;
-              found = true;
-              const int64_t rooms = hotel.at(4).int64_value();
-              if (rooms <= 0) {
-                return Status::Aborted("hotel " + hid.ToString() +
-                                       " is fully booked");
-              }
-              Tuple updated = hotel;
-              updated.at(4) = Value::Int64(rooms - 1);
-              YOUTOPIA_RETURN_IF_ERROR(
-                  txn_manager->Update(txn, kHotelsTable, rid, updated));
-              break;
-            }
-            if (!found) {
+            auto hotels = txn_manager->Probe(txn, kHotelsTable, {{0, hid}});
+            if (!hotels.ok()) return hotels.status();
+            if (hotels->empty()) {
               return Status::Aborted("no such hotel " + hid.ToString());
             }
+            auto& [rid, hotel] = hotels->front();
+            const int64_t rooms = hotel.at(4).int64_value();
+            if (rooms <= 0) {
+              return Status::Aborted("hotel " + hid.ToString() +
+                                     " is fully booked");
+            }
+            hotel.at(4) = Value::Int64(rooms - 1);
+            YOUTOPIA_RETURN_IF_ERROR(
+                txn_manager->Update(txn, kHotelsTable, rid, hotel));
           } else if (EqualsIgnoreCase(relation, kSeatReservationTable)) {
             // (traveler, fno, seat): claim the seat by removing it from
             // the open inventory; a vanished row means another group
             // took it and this round must abort.
             const Value& fno = tuple.at(1);
             const Value& seat = tuple.at(2);
-            auto rids = txn_manager->IndexLookup(txn, kSeatsTable, "fno",
-                                                 fno);
-            if (!rids.ok()) return rids.status();
-            bool claimed = false;
-            for (RowId rid : *rids) {
-              auto row = txn_manager->Get(txn, kSeatsTable, rid);
-              if (!row.ok()) continue;
-              if (row->at(1) == seat) {
-                YOUTOPIA_RETURN_IF_ERROR(
-                    txn_manager->Delete(txn, kSeatsTable, rid));
-                claimed = true;
-                break;
-              }
-            }
-            if (!claimed) {
+            auto seats =
+                txn_manager->Probe(txn, kSeatsTable, {{0, fno}, {1, seat}});
+            if (!seats.ok()) return seats.status();
+            if (seats->empty()) {
               return Status::Aborted("seat " + seat.ToString() +
                                      " on flight " + fno.ToString() +
                                      " is no longer available");
             }
+            YOUTOPIA_RETURN_IF_ERROR(
+                txn_manager->Delete(txn, kSeatsTable, seats->front().first));
           }
         }
         return Status::OK();

@@ -79,14 +79,13 @@ Result<std::vector<std::pair<RowId, Tuple>>> TxnManager::Scan(
   return storage_->Scan(table);
 }
 
-Result<std::vector<RowId>> TxnManager::IndexLookup(Transaction* txn,
-                                                   const std::string& table,
-                                                   const std::string& column,
-                                                   const Value& key) {
+Result<std::vector<std::pair<RowId, Tuple>>> TxnManager::Probe(
+    Transaction* txn, const std::string& table,
+    const std::vector<ProbeKey>& keys) {
   YOUTOPIA_RETURN_IF_ERROR(EnsureActive(txn));
   YOUTOPIA_RETURN_IF_ERROR(
       lock_manager_.Acquire(txn->id(), table, LockMode::kShared));
-  return storage_->IndexLookup(table, column, key);
+  return storage_->Probe(table, keys);
 }
 
 Status TxnManager::Commit(Transaction* txn) {

@@ -41,10 +41,10 @@ class TxnManager {
   Result<Tuple> Get(Transaction* txn, const std::string& table, RowId rid);
   Result<std::vector<std::pair<RowId, Tuple>>> Scan(Transaction* txn,
                                                     const std::string& table);
-  Result<std::vector<RowId>> IndexLookup(Transaction* txn,
-                                         const std::string& table,
-                                         const std::string& column,
-                                         const Value& key);
+  /// StorageEngine::Probe (current read) under the S table lock.
+  Result<std::vector<std::pair<RowId, Tuple>>> Probe(
+      Transaction* txn, const std::string& table,
+      const std::vector<ProbeKey>& keys);
 
   /// Releases locks; the transaction's effects become permanent. In
   /// MVCC mode this is also where the commit timestamp is issued: the

@@ -42,35 +42,48 @@ class PlanNodeTest : public ::testing::Test {
     ctx_.storage = &storage_;
   }
 
+  /// An access-path leaf over `table` (an unknown table gets an empty
+  /// schema and fails at execution).
+  std::unique_ptr<ScanNode> Scan(const std::string& table,
+                                 std::vector<ProbeKey> keys = {}) {
+    auto info = storage_.catalog().GetTable(table);
+    return std::make_unique<ScanNode>(table, std::move(keys),
+                                      info.ok() ? info->schema : Schema());
+  }
+
   StorageEngine storage_;
   ExecContext ctx_;
 };
 
-TEST_F(PlanNodeTest, SeqScanReturnsAllRows) {
-  SeqScanNode scan("L");
-  auto rows = scan.Execute(ctx_);
+TEST_F(PlanNodeTest, KeylessScanReturnsAllRows) {
+  auto scan = Scan("L");
+  auto rows = scan->Execute(ctx_);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 4u);
-  EXPECT_EQ(scan.ToString(), "SeqScan(L)");
+  EXPECT_EQ(scan->ToString(), "Scan(L)");
 }
 
-TEST_F(PlanNodeTest, SeqScanMissingTableErrors) {
-  SeqScanNode scan("Nope");
-  EXPECT_FALSE(scan.Execute(ctx_).ok());
+TEST_F(PlanNodeTest, ScanMissingTableErrors) {
+  EXPECT_FALSE(Scan("Nope")->Execute(ctx_).ok());
 }
 
-TEST_F(PlanNodeTest, IndexScanFetchesMatches) {
-  ASSERT_TRUE(storage_.CreateIndex("R", "id").ok());
-  IndexScanNode scan("R", "id", Value::Int64(3));
-  auto rows = scan.Execute(ctx_);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ(rows->at(0).at(1).int64_value(), 30);
+TEST_F(PlanNodeTest, KeyedScanFetchesMatchesWithOrWithoutIndex) {
+  for (bool indexed : {false, true}) {
+    if (indexed) {
+      ASSERT_TRUE(storage_.CreateIndex("R", "id").ok());
+    }
+    auto scan = Scan("R", {{0, Value::Int64(3)}});
+    auto rows = scan->Execute(ctx_);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->size(), 1u);
+    EXPECT_EQ(rows->at(0).at(1).int64_value(), 30);
+    EXPECT_EQ(scan->ToString(), "Scan(R: id = 3)");
+  }
 }
 
 TEST_F(PlanNodeTest, CrossJoinProducesProduct) {
   auto join = std::make_unique<CrossJoinNode>(
-      std::make_unique<SeqScanNode>("L"), std::make_unique<SeqScanNode>("R"));
+      Scan("L"), Scan("R"));
   auto rows = join->Execute(ctx_);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 16u);
@@ -79,7 +92,7 @@ TEST_F(PlanNodeTest, CrossJoinProducesProduct) {
 
 TEST_F(PlanNodeTest, HashJoinMatchesEqualKeys) {
   auto join = std::make_unique<HashJoinNode>(
-      std::make_unique<SeqScanNode>("L"), std::make_unique<SeqScanNode>("R"),
+      Scan("L"), Scan("R"),
       /*left_key=*/0, /*right_key=*/0);
   auto rows = join->Execute(ctx_);
   ASSERT_TRUE(rows.ok());
@@ -94,7 +107,7 @@ TEST_F(PlanNodeTest, HashJoinHandlesDuplicates) {
                   .Insert("R", Tuple({Value::Int64(3), Value::Int64(999)}))
                   .ok());
   auto join = std::make_unique<HashJoinNode>(
-      std::make_unique<SeqScanNode>("L"), std::make_unique<SeqScanNode>("R"),
+      Scan("L"), Scan("R"),
       0, 0);
   auto rows = join->Execute(ctx_);
   ASSERT_TRUE(rows.ok());
@@ -106,8 +119,8 @@ TEST_F(PlanNodeTest, HashJoinEmptySides) {
                                    Schema({{"id", DataType::kInt64, false}}))
                   .ok());
   auto join = std::make_unique<HashJoinNode>(
-      std::make_unique<SeqScanNode>("Empty"),
-      std::make_unique<SeqScanNode>("R"), 0, 0);
+      Scan("Empty"),
+      Scan("R"), 0, 0);
   auto rows = join->Execute(ctx_);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
@@ -119,8 +132,7 @@ TEST_F(PlanNodeTest, FilterAppliesPredicate) {
   const auto& select = static_cast<const SelectStatement&>(*stmt.value());
   BoundColumns columns;
   columns.AddSource("L", storage_.catalog().GetTable("L")->schema, 0);
-  FilterNode filter(std::make_unique<SeqScanNode>("L"), select.where.get(),
-                    &columns);
+  FilterNode filter(Scan("L"), {select.where.get()}, &columns);
   auto rows = filter.Execute(ctx_);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 2u);
@@ -133,7 +145,7 @@ TEST_F(PlanNodeTest, ProjectEvaluatesExpressions) {
   const auto& select = static_cast<const SelectStatement&>(*stmt.value());
   BoundColumns columns;
   columns.AddSource("L", storage_.catalog().GetTable("L")->schema, 0);
-  ProjectNode project(std::make_unique<SeqScanNode>("L"),
+  ProjectNode project(Scan("L"),
                       {select.select_list[0].get()}, &columns);
   auto rows = project.Execute(ctx_);
   ASSERT_TRUE(rows.ok());
@@ -143,9 +155,9 @@ TEST_F(PlanNodeTest, ProjectEvaluatesExpressions) {
 
 TEST_F(PlanNodeTest, ToStringTreeIndentsChildren) {
   auto join = std::make_unique<CrossJoinNode>(
-      std::make_unique<SeqScanNode>("L"), std::make_unique<SeqScanNode>("R"));
+      Scan("L"), Scan("R"));
   const std::string tree = join->ToStringTree();
-  EXPECT_NE(tree.find("CrossJoin\n  SeqScan(L)\n  SeqScan(R)"),
+  EXPECT_NE(tree.find("CrossJoin\n  Scan(L)\n  Scan(R)"),
             std::string::npos)
       << tree;
 }

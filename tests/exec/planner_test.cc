@@ -36,47 +36,121 @@ class PlannerTest : public ::testing::Test {
   std::unique_ptr<Planner> planner_;
 };
 
-TEST_F(PlannerTest, SingleTableSeqScan) {
+TEST_F(PlannerTest, SingleTableKeylessScan) {
   auto stmt = ParseSelect("SELECT fno FROM Flights");
   auto planned = planner_->PlanSelect(*stmt);
   ASSERT_TRUE(planned.ok());
-  // Project over SeqScan.
+  // Project over a keyless Scan.
   EXPECT_NE(planned->root->ToString().find("Project"), std::string::npos);
   ASSERT_EQ(planned->root->children().size(), 1u);
-  EXPECT_EQ(planned->root->children()[0]->ToString(), "SeqScan(Flights)");
+  EXPECT_EQ(planned->root->children()[0]->ToString(), "Scan(Flights)");
   EXPECT_EQ(planned->column_names, std::vector<std::string>{"fno"});
 }
 
-TEST_F(PlannerTest, IndexScanChosenForIndexedEquality) {
+TEST_F(PlannerTest, EqualityConjunctBecomesProbeKey) {
   auto stmt = ParseSelect("SELECT fno FROM Flights WHERE dest = 'Paris'");
   auto planned = planner_->PlanSelect(*stmt);
   ASSERT_TRUE(planned.ok());
   const std::string tree = planned->root->ToStringTree();
-  EXPECT_NE(tree.find("IndexScan(Flights.dest = 'Paris')"),
-            std::string::npos)
+  EXPECT_NE(tree.find("Scan(Flights: dest = 'Paris')"), std::string::npos)
       << tree;
   // Sole conjunct absorbed: no Filter node.
   EXPECT_EQ(tree.find("Filter"), std::string::npos) << tree;
 }
 
-TEST_F(PlannerTest, IndexScanWithResidualFilter) {
+TEST_F(PlannerTest, EveryEqualityIsAbsorbedAndTheRestFiltered) {
   auto stmt = ParseSelect(
-      "SELECT fno FROM Flights WHERE dest = 'Paris' AND price < 500");
+      "SELECT fno FROM Flights WHERE dest = 'Paris' AND price < 500 "
+      "AND 7 = fno");
   auto planned = planner_->PlanSelect(*stmt);
   ASSERT_TRUE(planned.ok());
   const std::string tree = planned->root->ToStringTree();
-  EXPECT_NE(tree.find("IndexScan"), std::string::npos) << tree;
-  EXPECT_NE(tree.find("Filter"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("Scan(Flights: dest = 'Paris' AND fno = 7)"),
+            std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("Filter(price < 500)"), std::string::npos) << tree;
 }
 
-TEST_F(PlannerTest, NonIndexedPredicateUsesSeqScanAndFilter) {
+TEST_F(PlannerTest, RangePredicateStaysInTheFilter) {
   auto stmt = ParseSelect("SELECT fno FROM Flights WHERE price < 500");
   auto planned = planner_->PlanSelect(*stmt);
   ASSERT_TRUE(planned.ok());
   const std::string tree = planned->root->ToStringTree();
-  EXPECT_NE(tree.find("SeqScan"), std::string::npos);
-  EXPECT_NE(tree.find("Filter"), std::string::npos);
-  EXPECT_EQ(tree.find("IndexScan"), std::string::npos);
+  EXPECT_NE(tree.find("Scan(Flights)"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("Filter(price < 500)"), std::string::npos) << tree;
+}
+
+// A literal is absorbed only when Value identity agrees with SQL `=`:
+// non-NULL and losslessly convertible to the column's type, converted.
+TEST_F(PlannerTest, OnlyLosslessNonNullLiteralsAreAbsorbed) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"fno = 3.0", "Scan(Flights: fno = 3)"},
+      {"fno = 3.5", "Filter(fno = 3.5)"},
+      {"fno = NULL", "Filter(fno = NULL)"},
+      {"fno = 'x'", "Filter(fno = 'x')"},
+      {"dest = 3", "Filter(dest = 3)"},
+  };
+  for (const auto& [where, expected] : cases) {
+    auto stmt = ParseSelect("SELECT fno FROM Flights WHERE " + where);
+    auto planned = planner_->PlanSelect(*stmt);
+    ASSERT_TRUE(planned.ok()) << where;
+    const std::string tree = planned->root->ToStringTree();
+    EXPECT_NE(tree.find(expected), std::string::npos) << where << "\n"
+                                                      << tree;
+  }
+}
+
+TEST_F(PlannerTest, ProbesTheShorterPostingListInEitherConjunctOrder) {
+  ASSERT_TRUE(storage_.CreateIndex("Flights", "price").ok());
+  // Six flights to Paris; one of them at price 100.
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(storage_
+                    .Insert("Flights",
+                            Tuple({Value::Int64(i), Value::String("Paris"),
+                                   Value::Int64(i == 4 ? 100 : 200 + i)}))
+                    .ok());
+  }
+  for (const std::string where : {"dest = 'Paris' AND price = 100",
+                                  "price = 100 AND dest = 'Paris'"}) {
+    auto stmt = ParseSelect("SELECT fno FROM Flights WHERE " + where);
+    auto planned = planner_->PlanSelect(*stmt);
+    ASSERT_TRUE(planned.ok()) << where;
+    const uint64_t before = storage_.access_stats().postings_read;
+    ExecContext ctx{&storage_, nullptr, 0};
+    auto rows = planned->root->Execute(ctx);
+    ASSERT_TRUE(rows.ok()) << where;
+    ASSERT_EQ(rows->size(), 1u) << where;
+    EXPECT_EQ(rows->at(0).at(0).int64_value(), 4);
+    // price = 100 has one posting, dest = 'Paris' six.
+    EXPECT_EQ(storage_.access_stats().postings_read - before, 1u) << where;
+  }
+}
+
+TEST_F(PlannerTest, JoinTablesEachProbeTheirOwnKeys) {
+  auto stmt = ParseSelect(
+      "SELECT f.fno FROM Flights f, Airlines a "
+      "WHERE f.fno = a.fno AND f.dest = 'Paris' AND a.airline = 'United'");
+  auto planned = planner_->PlanSelect(*stmt);
+  ASSERT_TRUE(planned.ok());
+  const std::string tree = planned->root->ToStringTree();
+  EXPECT_NE(tree.find("Scan(Flights: dest = 'Paris')"), std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("Scan(Airlines: airline = 'United')"),
+            std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("Filter(f.fno = a.fno)"), std::string::npos) << tree;
+}
+
+TEST_F(PlannerTest, AmbiguousColumnIsNotAbsorbed) {
+  // fno names a column of both tables: the filter keeps the conjunct and
+  // reports the ambiguity when it runs.
+  auto stmt = ParseSelect("SELECT dest FROM Flights, Airlines WHERE fno = 3");
+  auto planned = planner_->PlanSelect(*stmt);
+  ASSERT_TRUE(planned.ok());
+  const std::string tree = planned->root->ToStringTree();
+  EXPECT_NE(tree.find("Filter(fno = 3)"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("Scan(Flights)\n"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("Scan(Airlines)\n"), std::string::npos) << tree;
 }
 
 TEST_F(PlannerTest, EquiJoinPlansHashJoin) {

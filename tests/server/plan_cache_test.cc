@@ -140,25 +140,32 @@ TEST(PlanCacheTest, DdlOnOneTableLeavesOtherTablesPlansWarm) {
   EXPECT_GT(db.plan_cache().stats().invalidations, invalidations_before);
 }
 
-TEST(PlanCacheTest, CreateIndexInvalidatesAndReplansToIndexScan) {
+TEST(PlanCacheTest, CreateIndexInvalidatesAndTheProbeTakesTheIndex) {
   Youtopia db;
   ASSERT_TRUE(db.Execute("CREATE TABLE t (x INT, y TEXT)").ok());
-  auto before = db.Prepare("SELECT y FROM t WHERE x = 7");
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (7, 'a'), (8, 'b')").ok());
+  const std::string sql = "SELECT y FROM t WHERE x = 7";
+  auto before = db.Prepare(sql);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE((*before)->plan.has_value());
-  EXPECT_NE((*before)->plan->root->ToStringTree().find("SeqScan"),
+  EXPECT_NE((*before)->plan->root->ToStringTree().find("Scan(t: x = 7)"),
             std::string::npos);
+  auto access = db.storage().access_stats();
+  ASSERT_EQ(db.Execute(sql)->rows.size(), 1u);
+  EXPECT_EQ(db.storage().access_stats().full_walks, access.full_walks + 1);
 
   ASSERT_TRUE(db.Execute("CREATE INDEX ON t (x)").ok());
-  auto after = db.Prepare("SELECT y FROM t WHERE x = 7");
+  auto after = db.Prepare(sql);
   ASSERT_TRUE(after.ok());
-  // The stale SeqScan entry was discarded, and the fresh plan uses the
-  // new index.
+  // The stale entry was discarded. The plan names the same probe key;
+  // the storage probe now answers it through the new index.
   EXPECT_NE(before->get(), after->get());
-  ASSERT_TRUE((*after)->plan.has_value());
-  EXPECT_NE((*after)->plan->root->ToStringTree().find("IndexScan"),
-            std::string::npos);
   EXPECT_GE(db.plan_cache().stats().invalidations, 1u);
+  access = db.storage().access_stats();
+  ASSERT_EQ(db.Execute(sql)->rows.size(), 1u);
+  EXPECT_EQ(db.storage().access_stats().full_walks, access.full_walks);
+  EXPECT_EQ(db.storage().access_stats().postings_read,
+            access.postings_read + 1);
 }
 
 TEST(PlanCacheTest, DropAndRecreateNeverServesTheOldSchema) {

@@ -21,6 +21,19 @@ class StorageEngineTest : public ::testing::Test {
     return Tuple({Value::Int64(fno), Value::String(dest)});
   }
 
+  /// Rows a dest = `dest` probe returns, checking that it went through
+  /// the index and read no posting beyond them (the engine is
+  /// unversioned, so postings are exact).
+  size_t IndexedRows(const std::string& dest) {
+    const auto before = engine_.access_stats();
+    auto rows = engine_.Probe("Flights", {{1, Value::String(dest)}});
+    EXPECT_TRUE(rows.ok());
+    const auto after = engine_.access_stats();
+    EXPECT_EQ(after.full_walks, before.full_walks);
+    EXPECT_EQ(after.postings_read - before.postings_read, rows->size());
+    return rows->size();
+  }
+
   StorageEngine engine_;
 };
 
@@ -63,9 +76,7 @@ TEST_F(StorageEngineTest, IndexMaintainedOnInsert) {
   ASSERT_TRUE(engine_.Insert("Flights", Flight(122, "Paris")).ok());
   ASSERT_TRUE(engine_.Insert("Flights", Flight(123, "Paris")).ok());
   ASSERT_TRUE(engine_.Insert("Flights", Flight(136, "Rome")).ok());
-  auto rids = engine_.IndexLookup("Flights", "dest", Value::String("Paris"));
-  ASSERT_TRUE(rids.ok());
-  EXPECT_EQ(rids->size(), 2u);
+  EXPECT_EQ(IndexedRows("Paris"), 2u);
   EXPECT_TRUE(engine_.HasIndex("Flights", "dest"));
   EXPECT_FALSE(engine_.HasIndex("Flights", "fno"));
 }
@@ -73,9 +84,7 @@ TEST_F(StorageEngineTest, IndexMaintainedOnInsert) {
 TEST_F(StorageEngineTest, IndexBackfillsExistingRows) {
   ASSERT_TRUE(engine_.Insert("Flights", Flight(122, "Paris")).ok());
   ASSERT_TRUE(engine_.CreateIndex("Flights", "dest").ok());
-  auto rids = engine_.IndexLookup("Flights", "dest", Value::String("Paris"));
-  ASSERT_TRUE(rids.ok());
-  EXPECT_EQ(rids->size(), 1u);
+  EXPECT_EQ(IndexedRows("Paris"), 1u);
 }
 
 TEST_F(StorageEngineTest, IndexMaintainedOnDeleteAndUpdate) {
@@ -84,15 +93,11 @@ TEST_F(StorageEngineTest, IndexMaintainedOnDeleteAndUpdate) {
   ASSERT_TRUE(rid.ok());
 
   ASSERT_TRUE(engine_.Update("Flights", rid.value(), Flight(122, "Rome")).ok());
-  EXPECT_TRUE(
-      engine_.IndexLookup("Flights", "dest", Value::String("Paris"))->empty());
-  EXPECT_EQ(
-      engine_.IndexLookup("Flights", "dest", Value::String("Rome"))->size(),
-      1u);
+  EXPECT_EQ(IndexedRows("Paris"), 0u);
+  EXPECT_EQ(IndexedRows("Rome"), 1u);
 
   ASSERT_TRUE(engine_.Delete("Flights", rid.value()).ok());
-  EXPECT_TRUE(
-      engine_.IndexLookup("Flights", "dest", Value::String("Rome"))->empty());
+  EXPECT_EQ(IndexedRows("Rome"), 0u);
 }
 
 TEST_F(StorageEngineTest, DuplicateIndexFails) {
@@ -104,8 +109,45 @@ TEST_F(StorageEngineTest, DuplicateIndexFails) {
 TEST_F(StorageEngineTest, IndexOnMissingColumnOrTableFails) {
   EXPECT_FALSE(engine_.CreateIndex("Flights", "nope").ok());
   EXPECT_FALSE(engine_.CreateIndex("Nope", "dest").ok());
-  EXPECT_FALSE(
-      engine_.IndexLookup("Flights", "dest", Value::String("Paris")).ok());
+  EXPECT_FALSE(engine_.HasIndex("Flights", "dest"));
+}
+
+TEST_F(StorageEngineTest, ProbeWithoutIndexWalksOnceAndCopiesMatchesOnly) {
+  ASSERT_TRUE(engine_.Insert("Flights", Flight(122, "Paris")).ok());
+  ASSERT_TRUE(engine_.Insert("Flights", Flight(136, "Rome")).ok());
+  ASSERT_TRUE(engine_.Insert("Flights", Flight(123, "Paris")).ok());
+  const auto before = engine_.access_stats();
+  auto rows = engine_.Probe("Flights", {{1, Value::String("Paris")}});
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 2u);
+  // RowId order, whichever path found them.
+  EXPECT_EQ(rows->at(0).second.at(0).int64_value(), 122);
+  EXPECT_EQ(rows->at(1).second.at(0).int64_value(), 123);
+  const auto after = engine_.access_stats();
+  EXPECT_EQ(after.full_walks, before.full_walks + 1);
+  EXPECT_EQ(after.rows_copied, before.rows_copied + 2);
+  EXPECT_EQ(after.postings_read, before.postings_read);
+  EXPECT_EQ(engine_.Probe("Nope", {}).status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(StorageEngineTest, ProbeTakesTheShortestPostingListAndChecksAllKeys) {
+  ASSERT_TRUE(engine_.CreateIndex("Flights", "fno").ok());
+  ASSERT_TRUE(engine_.CreateIndex("Flights", "dest").ok());
+  for (int64_t fno : {1, 2, 3, 4}) {
+    ASSERT_TRUE(engine_.Insert("Flights", Flight(fno, "Paris")).ok());
+  }
+  ASSERT_TRUE(engine_.Insert("Flights", Flight(2, "Rome")).ok());
+  for (const auto& keys :
+       {std::vector<ProbeKey>{{1, Value::String("Paris")}, {0, Value::Int64(2)}},
+        std::vector<ProbeKey>{{0, Value::Int64(2)}, {1, Value::String("Paris")}}}) {
+    const auto before = engine_.access_stats();
+    auto rows = engine_.Probe("Flights", keys);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->size(), 1u);
+    EXPECT_EQ(rows->at(0).second, Flight(2, "Paris"));
+    // fno = 2 has two postings, dest = 'Paris' four.
+    EXPECT_EQ(engine_.access_stats().postings_read, before.postings_read + 2);
+  }
 }
 
 TEST_F(StorageEngineTest, CatalogRecordsIndexedColumns) {

@@ -108,10 +108,10 @@ TEST_F(MvccVisibilityTest, SnapshotSeesDeleteOnlyAfterCommit) {
   // The old snapshot still browses the deleted row; a fresh one does
   // not.
   EXPECT_TRUE(storage_.GetSnapshot("T", rid.value(), snap.ts()).ok());
-  EXPECT_EQ(storage_.ScanSnapshot("T", snap.ts()).value().size(), 1u);
+  EXPECT_EQ(storage_.Probe("T", {}, snap.ts()).value().size(), 1u);
   SnapshotHandle fresh(&storage_.mvcc());
   EXPECT_FALSE(storage_.GetSnapshot("T", rid.value(), fresh.ts()).ok());
-  EXPECT_EQ(storage_.ScanSnapshot("T", fresh.ts()).value().size(), 0u);
+  EXPECT_EQ(storage_.Probe("T", {}, fresh.ts()).value().size(), 0u);
 }
 
 TEST_F(MvccVisibilityTest, GcNeverReclaimsWhatALiveSnapshotSees) {
@@ -156,7 +156,7 @@ TEST_F(MvccVisibilityTest, AbortDiscardsPendingVersions) {
   EXPECT_EQ(storage_.Get("T", rid.value())->at(1).int64_value(), 10);
 }
 
-TEST_F(MvccVisibilityTest, IndexLookupSnapshotResolvesAtTheSnapshot) {
+TEST_F(MvccVisibilityTest, IndexedProbeResolvesAtTheSnapshot) {
   ASSERT_TRUE(storage_.CreateIndex("T", "v").ok());
   auto rid = storage_.Insert("T", Row(1, 10));
   ASSERT_TRUE(rid.ok());
@@ -166,25 +166,42 @@ TEST_F(MvccVisibilityTest, IndexLookupSnapshotResolvesAtTheSnapshot) {
   ASSERT_TRUE(storage_.CommitTxn(kWriter).ok());
 
   // The old snapshot finds the row under its old key, not the new one.
-  auto old_key = storage_.IndexLookupSnapshot("T", "v", Value::Int64(10),
-                                              snap.ts());
+  auto old_key = storage_.Probe("T", {{1, Value::Int64(10)}}, snap.ts());
   ASSERT_TRUE(old_key.ok());
   ASSERT_EQ(old_key->size(), 1u);
   EXPECT_EQ(old_key->at(0).second.at(1).int64_value(), 10);
-  auto new_key = storage_.IndexLookupSnapshot("T", "v", Value::Int64(20),
-                                              snap.ts());
+  auto new_key = storage_.Probe("T", {{1, Value::Int64(20)}}, snap.ts());
   ASSERT_TRUE(new_key.ok());
   EXPECT_TRUE(new_key->empty());
 
   // A fresh snapshot sees the flip, and the *current* lookup contract
   // (head version only) holds for existing consumers.
   SnapshotHandle fresh(&storage_.mvcc());
-  new_key = storage_.IndexLookupSnapshot("T", "v", Value::Int64(20),
-                                         fresh.ts());
+  new_key = storage_.Probe("T", {{1, Value::Int64(20)}}, fresh.ts());
   ASSERT_TRUE(new_key.ok());
   EXPECT_EQ(new_key->size(), 1u);
-  EXPECT_EQ(storage_.IndexLookup("T", "v", Value::Int64(10))->size(), 0u);
-  EXPECT_EQ(storage_.IndexLookup("T", "v", Value::Int64(20))->size(), 1u);
+  EXPECT_EQ(storage_.Probe("T", {{1, Value::Int64(10)}})->size(), 0u);
+  EXPECT_EQ(storage_.Probe("T", {{1, Value::Int64(20)}})->size(), 1u);
+}
+
+TEST_F(MvccVisibilityTest, IndexBuiltOverAVersionChainPostsEveryRetainedKey) {
+  auto rid = storage_.Insert("T", Row(1, 10));
+  ASSERT_TRUE(rid.ok());
+  SnapshotHandle snap(&storage_.mvcc());
+  ASSERT_TRUE(storage_.Update("T", rid.value(), Row(1, 20)).ok());
+  // The chain holds v = 20 at the head and v = 10, pinned by `snap`.
+  ASSERT_TRUE(storage_.CreateIndex("T", "v").ok());
+  const auto before = storage_.access_stats();
+  // The old snapshot finds the row under its old key through the index.
+  EXPECT_EQ(storage_.Probe("T", {{1, Value::Int64(10)}}, snap.ts())->size(),
+            1u);
+  // Moving the head back to the old key adds no posting (a retained
+  // version already holds it), and current reads still find the row.
+  ASSERT_TRUE(storage_.Update("T", rid.value(), Row(1, 10)).ok());
+  EXPECT_EQ(storage_.Probe("T", {{1, Value::Int64(10)}})->size(), 1u);
+  const auto after = storage_.access_stats();
+  EXPECT_EQ(after.full_walks, before.full_walks);
+  EXPECT_EQ(after.postings_read, before.postings_read + 2);
 }
 
 // ----------------------------------------------------------- truncation

@@ -105,13 +105,13 @@ TEST_F(TxnManagerTest, WriterBlocksWriter) {
   ASSERT_TRUE(txns_->Commit(t2.get()).ok());
 }
 
-TEST_F(TxnManagerTest, IndexLookupUnderTxn) {
+TEST_F(TxnManagerTest, ProbeUnderTxn) {
   ASSERT_TRUE(storage_.CreateIndex("T", "k").ok());
   ASSERT_TRUE(storage_.Insert("T", Row(9, "x")).ok());
   auto txn = txns_->Begin();
-  auto rids = txns_->IndexLookup(txn.get(), "T", "k", Value::Int64(9));
-  ASSERT_TRUE(rids.ok());
-  EXPECT_EQ(rids->size(), 1u);
+  auto rows = txns_->Probe(txn.get(), "T", {{0, Value::Int64(9)}});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 1u);
   ASSERT_TRUE(txns_->Commit(txn.get()).ok());
 }
 
