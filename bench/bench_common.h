@@ -5,7 +5,6 @@
 // per-experiment index in DESIGN.md and the results in EXPERIMENTS.md).
 
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,77 +43,12 @@ inline std::unique_ptr<Youtopia> MakeFlightDb(int num_flights, int num_dests,
   return db;
 }
 
-/// The pairwise entangled query against an arbitrary answer relation —
-/// what the sharded-coordinator benchmarks use to give every worker
-/// thread its own independent coordination domain.
-inline std::string PairSqlOn(const std::string& relation,
-                             const std::string& self,
-                             const std::string& other,
-                             const std::string& dest = "City0") {
-  return "SELECT '" + self + "', fno INTO ANSWER " + relation +
-         " WHERE fno IN (SELECT fno FROM Flights WHERE dest='" + dest +
-         "') AND ('" + other + "', fno) IN ANSWER " + relation + " CHOOSE 1";
-}
-
 /// The paper's pairwise entangled query (§2.1) for arbitrary names.
 inline std::string PairSql(const std::string& self, const std::string& other,
                            const std::string& dest = "City0") {
-  return PairSqlOn("Reservation", self, other, dest);
-}
-
-/// Creates a Flights database plus `num_relations` reservation answer
-/// relations (each indexed on traveler) on a coordinator with
-/// `num_shards` pending-pool shards, returning the relation names via
-/// `relations`. While fresh shards remain, names are chosen (from a
-/// candidate pool, via ShardOfRelation) to land on pairwise distinct
-/// shards, so worker thread t — which coordinates entirely within
-/// (*relations)[t] — genuinely holds a disjoint mutex; relying on
-/// fixed names would leave placement to std::hash luck.
-inline std::unique_ptr<Youtopia> MakeShardedFlightDb(
-    int num_relations, size_t num_shards,
-    std::vector<std::string>* relations, int num_flights = 256,
-    uint64_t seed = 42) {
-  YoutopiaConfig config;
-  config.coordinator.match.rng_seed = seed;
-  config.coordinator.num_shards = num_shards;
-  auto db = std::make_unique<Youtopia>(config);
-  Status s = db->ExecuteScript(
-      "CREATE TABLE Flights (fno INT NOT NULL, dest TEXT NOT NULL);"
-      "CREATE INDEX ON Flights (dest);");
-  if (!s.ok()) std::abort();
-
-  relations->clear();
-  std::set<size_t> used_shards;
-  const size_t distinct_target = std::min<size_t>(
-      static_cast<size_t>(num_relations), db->coordinator().num_shards());
-  for (int i = 0;
-       relations->size() < static_cast<size_t>(num_relations) && i < 4096;
-       ++i) {
-    const std::string name = "Reservation" + std::to_string(i);
-    const size_t shard = db->coordinator().ShardOfRelation(name);
-    if (used_shards.size() < distinct_target &&
-        !used_shards.insert(shard).second) {
-      continue;  // a fresh shard is still available; keep looking
-    }
-    relations->push_back(name);
-  }
-  if (relations->size() < static_cast<size_t>(num_relations)) std::abort();
-
-  for (const std::string& relation : *relations) {
-    s = db->ExecuteScript(
-        "CREATE TABLE " + relation +
-        " (traveler TEXT NOT NULL, fno INT NOT NULL);"
-        "CREATE INDEX ON " + relation + " (traveler);");
-    if (!s.ok()) std::abort();
-  }
-  for (int f = 0; f < num_flights; ++f) {
-    auto rid = db->storage().Insert(
-        "Flights",
-        Tuple({Value::Int64(100 + f),
-               Value::String("City" + std::to_string(f % 4))}));
-    if (!rid.ok()) std::abort();
-  }
-  return db;
+  return "SELECT '" + self + "', fno INTO ANSWER Reservation WHERE fno IN "
+         "(SELECT fno FROM Flights WHERE dest='" + dest + "') AND ('" +
+         other + "', fno) IN ANSWER Reservation CHOOSE 1";
 }
 
 }  // namespace youtopia::bench

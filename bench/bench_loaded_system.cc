@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -156,66 +155,6 @@ void BM_LoadedSystem_AsyncDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadedSystem_AsyncDrain)
     ->Args({256, 1})->Args({256, 2})->Args({256, 4})->Args({1024, 4})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// Sharded drain: 4 submitter threads interleave firsts-then-partners
-/// on their own answer relations against a loaded pool of lonely
-/// queries spread over the same relations. Compares the single-mutex
-/// coordinator (shards=1) with a sharded one (shards=8) under
-/// identical load. Args: (lonely pool size, num_shards).
-void BM_LoadedSystem_ShardedDrain(benchmark::State& state) {
-  constexpr int kThreads = 4;
-  constexpr int kPairsPerThread = 16;
-  const int pool_size = static_cast<int>(state.range(0));
-  const size_t shards = static_cast<size_t>(state.range(1));
-  std::vector<std::string> relations;
-  auto db = MakeShardedFlightDb(kThreads, shards, &relations);
-  // Lonely background load, round-robin across the relations, in one
-  // batch round per relation.
-  for (int t = 0; t < kThreads; ++t) {
-    const std::string& relation = relations[t];
-    std::vector<std::string> statements;
-    std::vector<std::string> owners;
-    for (int i = t; i < pool_size; i += kThreads) {
-      const std::string self = "lonely" + std::to_string(i);
-      owners.push_back(self);
-      statements.push_back(
-          PairSqlOn(relation, self, "ghost" + std::to_string(i)));
-    }
-    auto handles = db->SubmitBatch(statements, owners);
-    if (!handles.ok()) std::abort();
-  }
-  int64_t round = 0;
-  for (auto _ : state) {
-    const int64_t base = round++ * kPairsPerThread;
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&db, &relations, t, base] {
-        const std::string& relation = relations[t];
-        Client client(db.get(), OwnerOptions("drain" + std::to_string(t)));
-        for (int p = 0; p < kPairsPerThread; ++p) {
-          const std::string a =
-              "A" + std::to_string(t) + "_" + std::to_string(base + p);
-          const std::string b =
-              "B" + std::to_string(t) + "_" + std::to_string(base + p);
-          auto ha = client.SubmitAs(a, PairSqlOn(relation, a, b));
-          auto hb = client.SubmitAs(b, PairSqlOn(relation, b, a));
-          if (!ha.ok() || !hb.ok() || !hb->Done()) std::abort();
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
-  state.counters["pending_pool"] =
-      benchmark::Counter(static_cast<double>(pool_size));
-  state.counters["shards"] = benchmark::Counter(static_cast<double>(shards));
-  state.counters["pairs_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * kThreads * kPairsPerThread),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_LoadedSystem_ShardedDrain)
-    ->Args({1000, 1})->Args({1000, 8})->Args({5000, 1})->Args({5000, 8})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

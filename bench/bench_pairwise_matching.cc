@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -76,50 +75,6 @@ void BM_BookAgainstStoredAnswer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BookAgainstStoredAnswer)->Unit(benchmark::kMicrosecond);
-
-/// Sharded-coordinator variant: `threads` worker threads each run
-/// pairwise coordinations on their own answer relation, so the
-/// coordinations are independent. With num_shards=1 every matching
-/// round serializes under the single shard mutex (the seed's
-/// behavior); with enough shards the threads' rounds hold disjoint
-/// mutexes and match in parallel. Args: (threads, num_shards).
-void BM_ShardedParallelPairwise(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const size_t shards = static_cast<size_t>(state.range(1));
-  constexpr int kPairsPerThread = 16;
-  std::vector<std::string> relations;
-  auto db = MakeShardedFlightDb(threads, shards, &relations);
-  int64_t round = 0;
-  for (auto _ : state) {
-    const int64_t base = round++ * kPairsPerThread;
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&db, &relations, t, base] {
-        const std::string& relation = relations[t];
-        Client client(db.get(), OwnerOptions("bench" + std::to_string(t)));
-        for (int p = 0; p < kPairsPerThread; ++p) {
-          const std::string a =
-              "A" + std::to_string(t) + "_" + std::to_string(base + p);
-          const std::string b =
-              "B" + std::to_string(t) + "_" + std::to_string(base + p);
-          auto ha = client.SubmitAs(a, PairSqlOn(relation, a, b));
-          auto hb = client.SubmitAs(b, PairSqlOn(relation, b, a));
-          if (!ha.ok() || !hb.ok() || !hb->Done()) std::abort();
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
-  state.counters["threads"] = benchmark::Counter(static_cast<double>(threads));
-  state.counters["shards"] = benchmark::Counter(static_cast<double>(shards));
-  state.counters["pairs_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * threads * kPairsPerThread),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ShardedParallelPairwise)
-    ->Args({4, 1})->Args({4, 8})->Args({8, 1})->Args({8, 16})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace youtopia::bench

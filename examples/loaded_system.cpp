@@ -7,6 +7,9 @@
 //                      [loopback] [--data-dir <path>]
 //        loaded_system --connect host:port [sessions] [requests_per_session]
 //
+// The shards argument is accepted for compatibility and ignored: the
+// coordinator is one mutex over one pending pool.
+//
 // --data-dir <path> enables the write-ahead log (one subdirectory per
 // session sweep, so each fresh engine recovers its own log) — the same
 // workload with durability on, showing what group commit costs under
@@ -137,19 +140,16 @@ int main(int argc, char** argv) {
   }
   const int max_sessions = positional_ints[0];
   const int requests = positional_ints[1];
-  const int shards = positional_ints[2];
   const int workers = positional_ints[3];
 
-  std::printf("coordinator shards: %d, executor workers: %d%s%s%s\n", shards,
-              workers, loopback ? ", loopback wire protocol" : "",
+  std::printf("executor workers: %d%s%s%s\n", workers,
+              loopback ? ", loopback wire protocol" : "",
               data_dir != nullptr ? ", wal data dir " : "",
               data_dir != nullptr ? data_dir : "");
   std::printf("%-10s %-10s %-14s %s\n", "sessions", "requests",
               "satisfied/s", "latency");
   for (int sessions = 2; sessions <= max_sessions; sessions *= 2) {
     YoutopiaConfig db_config;
-    db_config.coordinator.num_shards =
-        shards > 0 ? static_cast<size_t>(shards) : 1;
     db_config.executor.num_workers =
         workers > 0 ? static_cast<size_t>(workers) : 0;
     if (data_dir != nullptr) {

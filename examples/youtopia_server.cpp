@@ -9,7 +9,8 @@
 //
 //   port      TCP port to bind on 127.0.0.1 (0 = kernel-assigned;
 //             the actual port is printed on the READY line)
-//   shards    coordinator pending-pool shards (default 1)
+//   shards    accepted for compatibility and ignored: the coordinator
+//             is one mutex over one pending pool
 //   workers   executor-service pool size (default 0 = inline)
 //   --travel  pre-load the travel schema + a generated dataset, so
 //             remote clients can book immediately
@@ -43,7 +44,6 @@ int main(int argc, char** argv) {
   using namespace youtopia;  // NOLINT(build/namespaces) — example code
 
   int port = 0;
-  int shards = 1;
   int workers = 0;
   bool travel_seed = false;
   const char* data_dir = nullptr;
@@ -69,14 +69,11 @@ int main(int argc, char** argv) {
     }
     const int v = std::atoi(argv[i]);
     if (positional == 0) port = v;
-    if (positional == 1) shards = v;
     if (positional == 2) workers = v;
     ++positional;
   }
 
   YoutopiaConfig config;
-  config.coordinator.num_shards =
-      shards > 0 ? static_cast<size_t>(shards) : 1;
   config.executor.num_workers =
       workers > 0 ? static_cast<size_t>(workers) : 0;
   config.executor.admission_high_water =
@@ -122,10 +119,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start failed: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("READY port=%u shards=%zu workers=%zu admission=%zu "
-              "metrics_port=%u\n",
-              server.port(), config.coordinator.num_shards,
-              config.executor.num_workers,
+  std::printf("READY port=%u workers=%zu admission=%zu metrics_port=%u\n",
+              server.port(), config.executor.num_workers,
               config.executor.admission_high_water, server.metrics_port());
   std::fflush(stdout);
 

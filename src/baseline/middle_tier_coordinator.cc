@@ -35,6 +35,13 @@ Result<MiddleTierCoordinator::Ticket> MiddleTierCoordinator::TryRequest(
     return status;
   };
 
+  // X on the proposal table before the scan: every path below writes it,
+  // and two reciprocal requests that both scanned under S would deadlock
+  // on the S->X upgrade until the lock timeout broke it.
+  Status locked = txns.lock_manager().Acquire(txn->id(), kProposals,
+                                              LockMode::kExclusive);
+  if (!locked.ok()) return fail(locked);
+
   // Look for a reciprocal open proposal: partner proposed to user.
   auto proposals = txns.Scan(txn.get(), kProposals);
   if (!proposals.ok()) return fail(proposals.status());

@@ -93,7 +93,7 @@ class Catalog {
 
  private:
   /// Acquired inside DDL critical sections (under kWal) and from the
-  /// planner/matcher with coordinator shard mutexes held; takes nothing
+  /// planner/matcher with the coordinator mutex held; takes nothing
   /// itself.
   mutable Mutex mu_{LockRank::kCatalog, "catalog"};
   TableId next_id_ GUARDED_BY(mu_) = 1;

@@ -23,19 +23,18 @@ namespace {
 struct HeldLock {
   const void* mutex;
   uint16_t rank;
-  uint32_t seq;
   const char* name;
   bool shared;
 };
 
 /// The calling thread's currently-held ranked locks, in acquisition
 /// order. Deliberately a plain vector: depth is small (the deepest
-/// stack in the system is shard mutexes + install + storage, well under
-/// 70 entries even with 64 shards), so linear scans beat any map.
+/// stack in the system is coordinator + install + storage, about ten
+/// entries), so linear scans beat any map.
 std::vector<HeldLock>& HeldList() {
   thread_local std::vector<HeldLock> held = [] {
     std::vector<HeldLock> v;
-    v.reserve(80);
+    v.reserve(16);
     return v;
   }();
   return held;
@@ -57,33 +56,32 @@ bool Enabled() {
   std::fprintf(stderr,
                "\n=== LOCK RANK VIOLATION ===\n"
                "thread attempted to acquire %s lock \"%s\" "
-               "(rank %u, seq %u, %p)\n"
+               "(rank %u, %p)\n"
                "while holding, in acquisition order:\n",
                attempt.shared ? "shared" : "exclusive", attempt.name,
-               attempt.rank, attempt.seq, attempt.mutex);
+               attempt.rank, attempt.mutex);
   for (const HeldLock& h : held) {
-    std::fprintf(stderr, "  - \"%s\" (rank %u, seq %u, %p%s)\n", h.name,
-                 h.rank, h.seq, h.mutex, h.shared ? ", shared" : "");
+    std::fprintf(stderr, "  - \"%s\" (rank %u, %p%s)\n", h.name, h.rank,
+                 h.mutex, h.shared ? ", shared" : "");
   }
   std::fprintf(stderr,
-               "locks must be acquired in increasing rank order "
-               "(equal rank only with increasing seq); see the LockRank "
-               "table in common/mutex.h and DESIGN.md.\n");
+               "locks must be acquired in strictly increasing rank order; "
+               "see the LockRank table in common/mutex.h and DESIGN.md.\n");
   std::fflush(stderr);
   std::abort();
 }
 
 }  // namespace
 
-void NoteAcquire(const void* mutex, uint16_t rank, uint32_t seq,
-                 const char* name, bool shared) {
+void NoteAcquire(const void* mutex, uint16_t rank, const char* name,
+                 bool shared) {
   if (!Enabled()) return;
   std::vector<HeldLock>& held = HeldList();
-  const HeldLock attempt{mutex, rank, seq, name, shared};
+  const HeldLock attempt{mutex, rank, name, shared};
   if (rank != static_cast<uint16_t>(LockRank::kUnranked)) {
     for (const HeldLock& h : held) {
       if (h.rank == static_cast<uint16_t>(LockRank::kUnranked)) continue;
-      if (h.rank > rank || (h.rank == rank && h.seq >= seq)) {
+      if (h.rank >= rank) {
         ReportViolationAndAbort(held, attempt);
       }
     }
@@ -115,7 +113,7 @@ bool ChecksEnabled() { return Enabled(); }
 
 #else  // !YOUTOPIA_LOCK_RANK_CHECKS
 
-void NoteAcquire(const void*, uint16_t, uint32_t, const char*, bool) {}
+void NoteAcquire(const void*, uint16_t, const char*, bool) {}
 void NoteRelease(const void*) {}
 bool Held(const void*) { return true; }
 bool ChecksEnabled() { return false; }

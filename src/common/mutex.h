@@ -100,12 +100,10 @@ namespace youtopia {
 //
 // Every Mutex/SharedMutex is constructed with a rank, and the debug
 // validator enforces that a thread only ever acquires locks in strictly
-// increasing rank order (same-rank acquisition is allowed only with a
-// strictly increasing per-mutex sequence number — the coordinator's
-// shard mutexes, locked in shard-index order, are the one such family).
-// The enum below IS the system's global lock order; DESIGN.md carries
-// the same table with the nesting paths that pin each edge. Gaps between
-// values leave room for future subsystems.
+// increasing rank order; taking a second mutex of a rank already held
+// is a violation too. The enum below IS the system's global lock order;
+// DESIGN.md carries the same table with the nesting paths that pin each
+// edge. Gaps between values leave room for future subsystems.
 //
 // Outermost (acquired first, lowest value) to innermost:
 // ---------------------------------------------------------------------------
@@ -138,24 +136,14 @@ enum class LockRank : uint16_t {
   kConnectionWrite = 58,
   /// Client facade state (history, outstanding-handle set).
   kClient = 70,
-  /// Coordinator shard mutexes — the multi-instance rank: global
-  /// rounds lock every shard in index order, so each shard mutex
-  /// carries its shard index as the intra-rank sequence number.
-  kCoordinatorShard = 80,
-  /// Coordinator::install_txn_mu_ (serializes hook-bearing installs;
-  /// taken with shard mutexes held, before the install txn's locks).
-  kCoordinatorInstall = 90,
-  /// Coordinator::hook_mu_ (install-hook registration/copy-out).
-  kCoordinatorHook = 94,
-  /// Coordinator::router_mu_ (query-id -> shard map; "shard mutexes
-  /// first, router last").
-  kCoordinatorRouter = 98,
-  /// wal::WalManager::mu_. Above the shard rank (the coordinator
-  /// journal appends with shard mutexes held) and below the storage
-  /// ranks (DDL executes inside AppendSerialized's critical section).
+  /// Coordinator::mu_ (pending pool, matcher, install transactions).
+  kCoordinator = 80,
+  /// wal::WalManager::mu_. Above kCoordinator (the coordinator journal
+  /// appends with its mutex held) and below the storage ranks (DDL
+  /// executes inside AppendSerialized's critical section).
   kWal = 110,
   /// LockManager::mu_ (2PL table-lock state; acquired during installs
-  /// with shard mutexes held).
+  /// with the coordinator mutex held).
   kLockManager = 120,
   /// MvccController::mu_ (commit clock, in-flight commit set, active
   /// snapshots). A leaf in practice: commit stamping calls it strictly
@@ -172,8 +160,8 @@ enum class LockRank : uint16_t {
   kHashIndex = 160,
   /// PlanCache::mu_ (LRU + counters; prepare path holds nothing else).
   kPlanCache = 170,
-  /// EntangledHandle::State::mu — completed with shard mutexes held;
-  /// callbacks always fire after it is released.
+  /// EntangledHandle::State::mu — completed with the coordinator mutex
+  /// held; callbacks always fire after it is released.
   kHandleState = 180,
   /// travel::NotificationBus::mu_ (published from completion
   /// callbacks, no engine locks held).
@@ -189,12 +177,11 @@ namespace lockrank {
 
 /// Validates one acquisition against the calling thread's held set and
 /// records it. Aborts (after printing the held-lock list and the
-/// attempted acquisition) when `rank` is lower than a held rank, or
-/// equal without a strictly larger `seq`. No-op when rank checking is
-/// compiled out or disabled via YOUTOPIA_LOCK_RANK_CHECKS=0 in the
-/// environment.
-void NoteAcquire(const void* mutex, uint16_t rank, uint32_t seq,
-                 const char* name, bool shared);
+/// attempted acquisition) when `rank` is not above every held rank.
+/// No-op when rank checking is compiled out or disabled via
+/// YOUTOPIA_LOCK_RANK_CHECKS=0 in the environment.
+void NoteAcquire(const void* mutex, uint16_t rank, const char* name,
+                 bool shared);
 
 /// Removes `mutex` from the thread's held set (most recent entry).
 void NoteRelease(const void* mutex);
@@ -216,19 +203,15 @@ bool ChecksEnabled();
 /// GUARDED_BY members at compile time.
 class CAPABILITY("mutex") Mutex {
  public:
-  /// `seq` orders mutexes of the same rank (the coordinator's shard
-  /// mutexes pass their shard index); same-rank acquisition with a
-  /// non-increasing seq is a rank violation.
-  explicit Mutex(LockRank rank, const char* name = "mutex",
-                 uint32_t seq = 0)
-      : rank_(static_cast<uint16_t>(rank)), seq_(seq), name_(name) {}
+  explicit Mutex(LockRank rank, const char* name = "mutex")
+      : rank_(static_cast<uint16_t>(rank)), name_(name) {}
   Mutex() : Mutex(LockRank::kLeaf) {}
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock() ACQUIRE() {
-    lockrank::NoteAcquire(this, rank_, seq_, name_, /*shared=*/false);
+    lockrank::NoteAcquire(this, rank_, name_, /*shared=*/false);
     mu_.lock();
   }
 
@@ -243,7 +226,7 @@ class CAPABILITY("mutex") Mutex {
     // acquisitions are validated against it. (An out-of-rank try-lock
     // that *succeeds* is still reported: mixed try/blocking cycles
     // deadlock just as well.)
-    lockrank::NoteAcquire(this, rank_, seq_, name_, /*shared=*/false);
+    lockrank::NoteAcquire(this, rank_, name_, /*shared=*/false);
     return true;
   }
 
@@ -259,23 +242,21 @@ class CAPABILITY("mutex") Mutex {
   friend class CondVar;
   std::mutex mu_;
   const uint16_t rank_;
-  const uint32_t seq_;
   const char* const name_;
 };
 
 /// Reader/writer mutex with the same capability + rank treatment.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
-  explicit SharedMutex(LockRank rank, const char* name = "shared_mutex",
-                       uint32_t seq = 0)
-      : rank_(static_cast<uint16_t>(rank)), seq_(seq), name_(name) {}
+  explicit SharedMutex(LockRank rank, const char* name = "shared_mutex")
+      : rank_(static_cast<uint16_t>(rank)), name_(name) {}
   SharedMutex() : SharedMutex(LockRank::kLeaf) {}
 
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
   void Lock() ACQUIRE() {
-    lockrank::NoteAcquire(this, rank_, seq_, name_, /*shared=*/false);
+    lockrank::NoteAcquire(this, rank_, name_, /*shared=*/false);
     mu_.lock();
   }
 
@@ -285,7 +266,7 @@ class CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void LockShared() ACQUIRE_SHARED() {
-    lockrank::NoteAcquire(this, rank_, seq_, name_, /*shared=*/true);
+    lockrank::NoteAcquire(this, rank_, name_, /*shared=*/true);
     mu_.lock_shared();
   }
 
@@ -302,7 +283,6 @@ class CAPABILITY("shared_mutex") SharedMutex {
  private:
   std::shared_mutex mu_;
   const uint16_t rank_;
-  const uint32_t seq_;
   const char* const name_;
 };
 
@@ -364,64 +344,6 @@ class SCOPED_CAPABILITY ReaderMutexLock {
 
  private:
   SharedMutex& mu_;
-};
-
-/// Movable single-lock guard (std::unique_lock replacement) for flows
-/// the static analysis cannot follow: optional locks, locks chosen at
-/// runtime, containers of locks. Functions that rely on one to guard
-/// member access need NO_THREAD_SAFETY_ANALYSIS with a justification —
-/// prefer MutexLock wherever the mutex is statically known. Rank
-/// checking still applies on every Lock/Unlock.
-class MovableMutexLock {
- public:
-  MovableMutexLock() = default;
-  explicit MovableMutexLock(Mutex& mu) : mu_(&mu), owned_(true) {
-    mu_->Lock();
-  }
-
-  MovableMutexLock(MovableMutexLock&& other) noexcept
-      : mu_(other.mu_), owned_(other.owned_) {
-    other.mu_ = nullptr;
-    other.owned_ = false;
-  }
-
-  MovableMutexLock& operator=(MovableMutexLock&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      mu_ = other.mu_;
-      owned_ = other.owned_;
-      other.mu_ = nullptr;
-      other.owned_ = false;
-    }
-    return *this;
-  }
-
-  MovableMutexLock(const MovableMutexLock&) = delete;
-  MovableMutexLock& operator=(const MovableMutexLock&) = delete;
-
-  ~MovableMutexLock() { Reset(); }
-
-  void Unlock() {
-    mu_->Unlock();
-    owned_ = false;
-  }
-
-  void Lock() {
-    mu_->Lock();
-    owned_ = true;
-  }
-
-  bool owns() const { return owned_; }
-
- private:
-  void Reset() {
-    if (owned_) mu_->Unlock();
-    mu_ = nullptr;
-    owned_ = false;
-  }
-
-  Mutex* mu_ = nullptr;
-  bool owned_ = false;
 };
 
 /// Condition variable bound to youtopia::Mutex. Wait() takes the Mutex

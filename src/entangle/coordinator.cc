@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "common/logging.h"
-#include "common/string_util.h"
 
 namespace youtopia {
 
@@ -110,9 +109,9 @@ void DetachedHandles::Complete(const EntangledHandle& handle, Status outcome,
 namespace {
 
 /// Runs a Coordinator's deferred completion callbacks on scope exit.
-/// Declared BEFORE any lock acquisition in every mutating entry point
-/// so the flush happens after the locks are released, on success and
-/// error paths alike (destruction order is the reverse of declaration).
+/// Declared BEFORE the lock in every mutating entry point so the flush
+/// happens after the lock is released, on success and error paths
+/// alike (destruction order is the reverse of declaration).
 class CallbackFlusher {
  public:
   using Flush = std::function<void()>;
@@ -125,23 +124,6 @@ class CallbackFlusher {
   Flush flush_;
 };
 
-/// Field-wise sum of the per-shard-attributable counters.
-void AccumulateStats(CoordinatorStats* into, const CoordinatorStats& from) {
-  into->submitted += from.submitted;
-  into->matched_queries += from.matched_queries;
-  into->matched_groups += from.matched_groups;
-  into->cancelled += from.cancelled;
-  into->failed_installs += from.failed_installs;
-  into->retrigger_rounds += from.retrigger_rounds;
-  into->constraints_from_stored += from.constraints_from_stored;
-  into->match_calls += from.match_calls;
-  into->match_micros_total += from.match_micros_total;
-  into->search_steps_total += from.search_steps_total;
-  into->shard_rounds += from.shard_rounds;
-  into->global_rounds += from.global_rounds;
-  into->cross_shard_queries += from.cross_shard_queries;
-}
-
 }  // namespace
 
 Coordinator::Coordinator(StorageEngine* storage, TxnManager* txn_manager,
@@ -151,176 +133,53 @@ Coordinator::Coordinator(StorageEngine* storage, TxnManager* txn_manager,
       config_(config),
       answers_(storage, config.auto_create_answer_tables),
       callback_counters_(
-          std::make_shared<EntangledHandle::CallbackCounters>()) {
-  const size_t num_shards =
-      std::min<size_t>(64, std::max<size_t>(1, config.num_shards));
-  config_.num_shards = num_shards;
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<Shard>(i);
-    // Each shard matches with its own Matcher (the CHOOSE-1 rng is
-    // stateful); shard 0 keeps the configured seed so a single-shard
-    // coordinator reproduces the seed's choices exactly.
-    MatchConfig match = config.match;
-    match.rng_seed = config.match.rng_seed + i;
-    shard->matcher = std::make_unique<Matcher>(storage_, match);
-    shards_.push_back(std::move(shard));
-  }
-}
-
-size_t Coordinator::ShardOfRelation(const std::string& relation) const {
-  if (shards_.size() == 1) return 0;
-  // Same ToLowerAscii normalization as the PendingPool indexes — mixed
-  // case spellings of one relation must land on one shard.
-  return std::hash<std::string>{}(ToLowerAscii(relation)) % shards_.size();
-}
-
-Coordinator::Route Coordinator::RouteOf(const EntangledQuery& query) const {
-  std::vector<std::string> relations;
-  relations.reserve(query.heads.size() + query.constraints.size());
-  for (const AnswerAtom& head : query.heads) {
-    relations.push_back(ToLowerAscii(head.relation));
-  }
-  for (const AnswerAtom& constraint : query.constraints) {
-    relations.push_back(ToLowerAscii(constraint.relation));
-  }
-  Route route;
-  if (relations.empty()) return route;
-  // Home shard = shard of the lexicographically smallest relation:
-  // deterministic regardless of head/constraint order, so symmetric
-  // partners (A constrains on B's head relation and vice versa) always
-  // agree on where to meet.
-  route.home =
-      ShardOfRelation(*std::min_element(relations.begin(), relations.end()));
-  for (const std::string& relation : relations) {
-    if (ShardOfRelation(relation) != route.home) {
-      route.spanning = true;
-      break;
-    }
-  }
-  return route;
-}
-
-size_t Coordinator::HomeShardOf(const EntangledQuery& query) const {
-  return RouteOf(query).home;
-}
-
-std::vector<Coordinator::Shard*> Coordinator::AllShards() const {
-  std::vector<Shard*> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard.get());
-  return out;
-}
+          std::make_shared<EntangledHandle::CallbackCounters>()),
+      matcher_(storage, config.match) {}
 
 std::shared_ptr<EntangledHandle::State> Coordinator::RegisterLocked(
-    size_t shard_idx, EntangledQuery query, bool spanning) {
-  Shard* shard = shards_[shard_idx].get();
-  query.id = next_id_.fetch_add(1);
+    EntangledQuery query) {
   const QueryId id = query.id;
-
   auto state = std::make_shared<EntangledHandle::State>();
   state->id = id;
   state->counters = callback_counters_;
-  shard->handles.emplace(id, state);
-  shard->arrivals.emplace(id, std::chrono::steady_clock::now());
-  shard->pool.Add(std::make_shared<const EntangledQuery>(std::move(query)));
-  ++shard->stats.submitted;
-  if (spanning) {
-    ++shard->stats.cross_shard_queries;
-    cross_shard_pending_.fetch_add(1);
-  }
-  {
-    MutexLock rlock(router_mu_);
-    shard_of_[id] = Route{shard_idx, spanning};
-  }
+  handles_.emplace(id, state);
+  arrivals_.emplace(id, std::chrono::steady_clock::now());
+  pool_.Add(std::make_shared<const EntangledQuery>(std::move(query)));
+  ++stats_.submitted;
   return state;
 }
 
-std::optional<Coordinator::Route> Coordinator::TakeRouting(QueryId id) {
-  MutexLock rlock(router_mu_);
-  auto it = shard_of_.find(id);
-  if (it == shard_of_.end()) return std::nullopt;
-  Route route = it->second;
-  shard_of_.erase(it);
-  return route;
-}
-
 Result<std::vector<std::shared_ptr<EntangledHandle::State>>>
-Coordinator::SubmitRoundRouted(std::vector<EntangledQuery> queries,
-                               const std::vector<Route>& routes,
-                               size_t home_idx, bool force_global,
-                               Deferred* deferred) {
-  Shard* home = shards_[home_idx].get();
-  MovableMutexLock lock;
-  std::vector<MovableMutexLock> locks;
-  std::vector<Shard*> footprint;
-  bool global = force_global;
-  if (!global) {
-    lock = MovableMutexLock(home->mu);
-    // cross_shard_pending_ only increments with every shard mutex held,
-    // so reading 0 under our own mutex guarantees no cross-shard query
-    // can appear until this round finishes: the whole match-graph
-    // neighbourhood of a shard-local query lives in this shard. When a
-    // cross-shard query IS pending the round must see the merged pool,
-    // and when an install hook is registered rounds must be mutually
-    // exclusive (see hook_installed_) — drop the shard lock and
-    // escalate in either case.
-    global = cross_shard_pending_.load() > 0 || hook_installed_.load();
-    if (global) lock.Unlock();
-  }
-  if (global) {
-    locks.reserve(shards_.size());
-    for (const auto& shard : shards_) locks.emplace_back(shard->mu);
-    footprint = AllShards();
-  } else {
-    footprint = {home};
-  }
-
+Coordinator::SubmitLocked(std::vector<EntangledQuery> queries,
+                          Deferred* deferred) {
   std::vector<std::shared_ptr<EntangledHandle::State>> states;
   std::vector<QueryId> roots;
-  std::vector<size_t> homes;
   states.reserve(queries.size());
   roots.reserve(queries.size());
-  homes.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const size_t target = global ? routes[i].home : home_idx;
-    auto state =
-        RegisterLocked(target, std::move(queries[i]), routes[i].spanning);
-    roots.push_back(state->id);
-    homes.push_back(target);
-    states.push_back(std::move(state));
+  for (EntangledQuery& query : queries) {
+    query.id = next_id_++;
+    roots.push_back(query.id);
+    states.push_back(RegisterLocked(std::move(query)));
   }
   // Journal the registrations before any matching: a query the log has
-  // not seen must never match (its group would be unrecoverable). On
-  // append failure withdraw everything this call registered, exactly as
-  // for a failed matching round below.
+  // not seen must never match (its group would be unrecoverable).
+  Status status = Status::OK();
   if (CoordinatorJournal* journal = journal_.load()) {
-    Status logged = Status::OK();
-    for (size_t i = 0; i < roots.size() && logged.ok(); ++i) {
-      auto query = shards_[homes[i]]->pool.Get(roots[i]);
-      logged = journal->Submitted(*query);
-    }
-    if (!logged.ok()) {
-      for (size_t i = 0; i < roots.size(); ++i) {
-        (void)WithdrawLocked(shards_[homes[i]].get(), roots[i], logged,
-                             deferred);
-      }
-      return logged;
+    for (size_t i = 0; i < roots.size() && status.ok(); ++i) {
+      status = journal->Submitted(*pool_.Get(roots[i]));
     }
   }
-
-  ++(global ? home->stats.global_rounds : home->stats.shard_rounds);
-  auto satisfied = MatchAndInstallLocked(footprint, home, roots, deferred);
-  if (!satisfied.ok()) {
+  if (status.ok()) {
+    ++stats_.shard_rounds;
+    status = MatchAndInstallLocked(roots, deferred).status();
+  }
+  if (!status.ok()) {
     // Don't strand the registrations: the caller gets no handles back,
     // so a query left in the pool could later match with nobody able
     // to observe or cancel it. (NotFound here just means the round
     // already satisfied it before failing elsewhere.)
-    for (size_t i = 0; i < roots.size(); ++i) {
-      (void)WithdrawLocked(shards_[homes[i]].get(), roots[i],
-                           satisfied.status(), deferred);
-    }
-    return satisfied.status();
+    for (QueryId id : roots) (void)WithdrawLocked(id, status, deferred);
+    return status;
   }
   return states;
 }
@@ -329,98 +188,38 @@ Result<EntangledHandle> Coordinator::Submit(EntangledQuery query) {
   if (query.heads.empty()) {
     return Status::InvalidArgument("entangled query has no heads");
   }
-  const Route route = RouteOf(query);
   Deferred deferred;
   CallbackFlusher flusher([this, &deferred] { FireCallbacks(&deferred); });
   std::vector<EntangledQuery> one;
   one.push_back(std::move(query));
-  auto states = SubmitRoundRouted(std::move(one), {route}, route.home,
-                                  /*force_global=*/route.spanning, &deferred);
+  MutexLock lock(mu_);
+  auto states = SubmitLocked(std::move(one), &deferred);
   if (!states.ok()) return states.status();
   return EntangledHandle(states->front());
 }
 
 Result<std::vector<EntangledHandle>> Coordinator::SubmitAll(
     std::vector<EntangledQuery> queries) {
-  std::vector<Route> routes;
-  routes.reserve(queries.size());
-  bool any_spanning = false;
   for (size_t i = 0; i < queries.size(); ++i) {
     if (queries[i].heads.empty()) {
       return Status::InvalidArgument("entangled query " + std::to_string(i) +
                                      " in batch has no heads");
     }
-    routes.push_back(RouteOf(queries[i]));
-    any_spanning = any_spanning || routes.back().spanning;
-  }
-  batches_.fetch_add(1);
-  batched_queries_.fetch_add(queries.size());
-
-  std::vector<EntangledHandle> handles;
-  handles.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    handles.push_back(EntangledHandle(nullptr));
   }
   Deferred deferred;
   CallbackFlusher flusher([this, &deferred] { FireCallbacks(&deferred); });
-  /// Ids registered by completed sub-batches, so a later sub-batch's
-  /// error can withdraw the whole batch (members whose group already
-  /// installed stay installed; for them withdrawal is a NotFound
-  /// no-op). The failing sub-batch withdraws its own registrations.
-  std::vector<QueryId> registered;
-
-  // One matching round per sub-batch: the first root already sees every
-  // member of its sub-batch in the pool, so a complete group closes on
-  // its first TryMatch instead of after N partial attempts.
-  auto run_subbatch = [&](const std::vector<size_t>& indices, size_t home_idx,
-                          bool force_global) -> Status {
-    std::vector<EntangledQuery> subbatch;
-    std::vector<Route> subroutes;
-    subbatch.reserve(indices.size());
-    subroutes.reserve(indices.size());
-    for (size_t i : indices) {
-      subbatch.push_back(std::move(queries[i]));
-      subroutes.push_back(routes[i]);
-    }
-    auto states = SubmitRoundRouted(std::move(subbatch), subroutes, home_idx,
-                                    force_global, &deferred);
-    if (!states.ok()) return states.status();
-    for (size_t j = 0; j < indices.size(); ++j) {
-      registered.push_back((*states)[j]->id);
-      handles[indices[j]] = EntangledHandle(std::move((*states)[j]));
-    }
-    return Status::OK();
-  };
-
-  Status status = Status::OK();
-  if (any_spanning) {
-    // The batch itself crosses shards: take one global round over the
-    // whole batch, attributed to the first member's home shard.
-    std::vector<size_t> all(queries.size());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-    status = run_subbatch(all, routes.front().home, /*force_global=*/true);
-  } else {
-    // Group members by home shard, preserving submission order within
-    // each shard, and run one round per touched shard.
-    std::map<size_t, std::vector<size_t>> by_shard;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      by_shard[routes[i].home].push_back(i);
-    }
-    for (const auto& [home_idx, indices] : by_shard) {
-      status = run_subbatch(indices, home_idx, /*force_global=*/false);
-      if (!status.ok()) break;
-    }
-  }
-
-  if (!status.ok()) {
-    // The caller gets no handles back, so withdraw every member of the
-    // earlier sub-batches still pending — otherwise the batch would
-    // keep matching as phantom queries nobody can observe or cancel.
-    for (QueryId id : registered) {
-      (void)WithdrawPending(id, status, &deferred);
-    }
-    return status;
-  }
+  MutexLock lock(mu_);
+  ++stats_.batches;
+  stats_.batched_queries += queries.size();
+  if (queries.empty()) return std::vector<EntangledHandle>{};
+  // One matching round for the whole batch: the first root already sees
+  // every member in the pool, so a complete group closes on its first
+  // TryMatch instead of after N partial attempts.
+  auto states = SubmitLocked(std::move(queries), &deferred);
+  if (!states.ok()) return states.status();
+  std::vector<EntangledHandle> handles;
+  handles.reserve(states->size());
+  for (auto& state : *states) handles.push_back(EntangledHandle(state));
   return handles;
 }
 
@@ -466,14 +265,13 @@ void Coordinator::FireCallbacks(Deferred* deferred) {
   deferred->clear();
 }
 
-Status Coordinator::WithdrawLocked(Shard* shard, QueryId id, Status outcome,
+Status Coordinator::WithdrawLocked(QueryId id, Status outcome,
                                    Deferred* deferred) {
-  auto query = shard->pool.Remove(id);
-  if (query == nullptr) {
+  if (pool_.Remove(id) == nullptr) {
     return Status::NotFound("query " + std::to_string(id) +
                             " is not pending");
   }
-  ++shard->stats.cancelled;
+  ++stats_.cancelled;
   // Journal the resolution so replay does not resurrect a query whose
   // owner already saw it terminate. Failure is tolerable here — see the
   // CoordinatorJournal::Resolved contract — so the withdrawal proceeds.
@@ -484,42 +282,20 @@ Status Coordinator::WithdrawLocked(Shard* shard, QueryId id, Status outcome,
                              << " failed: " << logged.ToString();
     }
   }
-  shard->arrivals.erase(id);
-  auto routing = TakeRouting(id);
-  if (routing.has_value() && routing->spanning) {
-    cross_shard_pending_.fetch_sub(1);
-  }
-  auto it = shard->handles.find(id);
-  if (it != shard->handles.end()) {
+  arrivals_.erase(id);
+  auto it = handles_.find(id);
+  if (it != handles_.end()) {
     Complete(it->second, std::move(outcome), {}, deferred);
-    shard->handles.erase(it);
+    handles_.erase(it);
   }
   return Status::OK();
-}
-
-Status Coordinator::WithdrawPending(QueryId id, Status outcome,
-                                    Deferred* deferred) {
-  size_t shard_idx = 0;
-  {
-    MutexLock rlock(router_mu_);
-    auto it = shard_of_.find(id);
-    if (it == shard_of_.end()) {
-      return Status::NotFound("query " + std::to_string(id) +
-                              " is not pending");
-    }
-    shard_idx = it->second.home;
-  }
-  // The query may complete between the lookup and the shard lock;
-  // WithdrawLocked then reports NotFound.
-  Shard* shard = shards_[shard_idx].get();
-  MutexLock lock(shard->mu);
-  return WithdrawLocked(shard, id, std::move(outcome), deferred);
 }
 
 Status Coordinator::Cancel(QueryId id) {
   Deferred deferred;
   CallbackFlusher flusher([this, &deferred] { FireCallbacks(&deferred); });
-  return WithdrawPending(id, Status::Aborted("query cancelled"), &deferred);
+  MutexLock lock(mu_);
+  return WithdrawLocked(id, Status::Aborted("query cancelled"), &deferred);
 }
 
 Result<size_t> Coordinator::ExpireOlderThan(
@@ -527,75 +303,28 @@ Result<size_t> Coordinator::ExpireOlderThan(
   Deferred deferred;
   CallbackFlusher flusher([this, &deferred] { FireCallbacks(&deferred); });
   const auto cutoff = std::chrono::steady_clock::now() - max_age;
-  size_t total = 0;
-  for (const auto& shard_ptr : shards_) {
-    Shard* shard = shard_ptr.get();
-    MutexLock lock(shard->mu);
-    std::vector<QueryId> expired;
-    for (const auto& [id, arrival] : shard->arrivals) {
-      if (arrival <= cutoff && shard->pool.Contains(id)) {
-        expired.push_back(id);
-      }
-    }
-    for (QueryId id : expired) {
-      YOUTOPIA_RETURN_IF_ERROR(WithdrawLocked(
-          shard, id,
-          Status::TimedOut("entangled query expired without a partner"),
-          &deferred));
-    }
-    total += expired.size();
+  MutexLock lock(mu_);
+  std::vector<QueryId> expired;
+  for (const auto& [id, arrival] : arrivals_) {
+    if (arrival <= cutoff && pool_.Contains(id)) expired.push_back(id);
   }
-  return total;
+  for (QueryId id : expired) {
+    YOUTOPIA_RETURN_IF_ERROR(WithdrawLocked(
+        id, Status::TimedOut("entangled query expired without a partner"),
+        &deferred));
+  }
+  return expired.size();
 }
 
-Result<size_t> Coordinator::Retrigger(
-    const std::function<std::vector<QueryId>(const PendingPool&)>& ids,
-    Deferred* deferred) {
-  // All-shard fallback while cross-shard queries are pending (or a
-  // hook is registered): every round must see the merged pool. Resumes
-  // the sweep at `from_shard` — earlier shards were already processed
-  // locally, and their remaining queries gained nothing since.
-  // Dynamic lock sets (a vector of shard locks, an early-release home
-  // lock) that the static analysis cannot follow; the rank validator
-  // checks the acquisition order at runtime instead.
-  auto global_retrigger = [&](size_t from_shard) NO_THREAD_SAFETY_ANALYSIS
-      -> Result<size_t> {
-    std::vector<MovableMutexLock> locks;
-    locks.reserve(shards_.size());
-    for (const auto& shard : shards_) locks.emplace_back(shard->mu);
-    const std::vector<Shard*> all = AllShards();
-    size_t satisfied = 0;
-    for (size_t s = from_shard; s < shards_.size(); ++s) {
-      Shard* shard = shards_[s].get();
-      // Snapshot ids up front; matches mutate the pools.
-      for (QueryId id : ids(shard->pool)) {
-        if (!shard->pool.Contains(id)) continue;  // earlier round took it
-        ++shard->stats.global_rounds;
-        auto n = MatchAndInstallLocked(all, shard, {id}, deferred);
-        if (!n.ok()) return n.status();
-        satisfied += n.value();
-      }
-    }
-    return satisfied;
-  };
-
+Result<size_t> Coordinator::RetriggerLocked(const std::vector<QueryId>& ids,
+                                            Deferred* deferred) {
   size_t satisfied = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard* shard = shards_[s].get();
-    MovableMutexLock lock(shard->mu);
-    if (cross_shard_pending_.load() > 0 || hook_installed_.load()) {
-      lock.Unlock();
-      auto n = global_retrigger(s);
-      if (!n.ok()) return n.status();
-      return satisfied + n.value();
-    }
-    for (QueryId id : ids(shard->pool)) {
-      if (!shard->pool.Contains(id)) continue;  // satisfied earlier
-      ++shard->stats.shard_rounds;
-      auto n = MatchAndInstallLocked({shard}, shard, {id}, deferred);
-      if (!n.ok()) return n.status();
-      satisfied += n.value();
-    }
+  for (QueryId id : ids) {
+    if (!pool_.Contains(id)) continue;  // an earlier round took it
+    ++stats_.shard_rounds;
+    auto n = MatchAndInstallLocked({id}, deferred);
+    if (!n.ok()) return n.status();
+    satisfied += n.value();
   }
   return satisfied;
 }
@@ -603,33 +332,19 @@ Result<size_t> Coordinator::Retrigger(
 Result<size_t> Coordinator::RetriggerDependentsOf(const std::string& table) {
   Deferred deferred;
   CallbackFlusher flusher([this, &deferred] { FireCallbacks(&deferred); });
-  return Retrigger(
-      [&table](const PendingPool& pool) {
-        return pool.QueriesWithDomainOn(table);
-      },
-      &deferred);
+  MutexLock lock(mu_);
+  return RetriggerLocked(pool_.QueriesWithDomainOn(table), &deferred);
 }
 
 Result<size_t> Coordinator::RetriggerAll() {
   Deferred deferred;
   CallbackFlusher flusher([this, &deferred] { FireCallbacks(&deferred); });
-  return Retrigger([](const PendingPool& pool) { return pool.AllIds(); },
-                   &deferred);
+  MutexLock lock(mu_);
+  return RetriggerLocked(pool_.AllIds(), &deferred);
 }
 
 Result<size_t> Coordinator::MatchAndInstallLocked(
-    const std::vector<Shard*>& shards, Shard* home,
     const std::vector<QueryId>& roots, Deferred* deferred) {
-  std::vector<const PendingPool*> pools;
-  pools.reserve(shards.size());
-  for (Shard* shard : shards) pools.push_back(&shard->pool);
-  const MergedPendingView merged(pools);
-  // Live view over the locked footprint; installs below mutate the
-  // underlying pools and the view follows.
-  const PendingView& view =
-      shards.size() == 1 ? static_cast<const PendingView&>(shards[0]->pool)
-                         : static_cast<const PendingView&>(merged);
-
   size_t satisfied = 0;
   // Worklist of match roots: the triggering queries first, then queries
   // whose constraints touch relations that received new answers.
@@ -637,35 +352,35 @@ Result<size_t> Coordinator::MatchAndInstallLocked(
   while (!worklist.empty()) {
     const QueryId root = worklist.front();
     worklist.pop_front();
-    if (!view.Contains(root)) continue;
+    if (!pool_.Contains(root)) continue;
 
     const auto start = std::chrono::steady_clock::now();
-    auto match = home->matcher->TryMatch(root, view);
+    auto match = matcher_.TryMatch(root, pool_);
     const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
         std::chrono::steady_clock::now() - start);
-    ++home->stats.match_calls;
-    home->stats.match_micros_total += static_cast<uint64_t>(elapsed.count());
+    ++stats_.match_calls;
+    stats_.match_micros_total += static_cast<uint64_t>(elapsed.count());
     if (!match.ok()) return match.status();
     if (!match->has_value()) continue;
 
     const MatchResult& result = match->value();
-    home->stats.search_steps_total += result.steps;
-    auto installed = InstallLocked(shards, home, result, deferred);
+    stats_.search_steps_total += result.steps;
+    auto installed = InstallLocked(result, deferred);
     if (!installed.ok()) return installed.status();
     if (!installed.value()) continue;  // install aborted; stays pending
 
     satisfied += result.group.size();
-    ++home->stats.matched_groups;
-    home->stats.matched_queries += result.group.size();
-    home->stats.constraints_from_stored += result.from_stored;
+    ++stats_.matched_groups;
+    stats_.matched_queries += result.group.size();
+    stats_.constraints_from_stored += result.from_stored;
 
     // New answers may unblock pending queries — but only those with a
     // constraint that the newly installed tuples could satisfy. The
     // prefilter keeps retriggering O(affected) instead of O(pool),
     // which is what makes the loaded-system demo scale (paper §3).
-    ++home->stats.retrigger_rounds;
+    ++stats_.retrigger_rounds;
     for (const auto& [relation, tuple] : result.installed) {
-      for (QueryId qid : view.QueriesUnblockedBy(relation, tuple)) {
+      for (QueryId qid : pool_.QueriesUnblockedBy(relation, tuple)) {
         worklist.push_back(qid);
       }
     }
@@ -673,34 +388,12 @@ Result<size_t> Coordinator::MatchAndInstallLocked(
   return satisfied;
 }
 
-Result<bool> Coordinator::InstallLocked(const std::vector<Shard*>& shards,
-                                        Shard* home, const MatchResult& match,
+Result<bool> Coordinator::InstallLocked(const MatchResult& match,
                                         Deferred* deferred) {
-  InstallHook hook;
-  {
-    MutexLock hlock(hook_mu_);
-    hook = install_hook_;
-  }
-  // A hook may write tables shared across shards; serialize those
-  // installs so concurrent shard rounds cannot 2PL-conflict and strand
-  // a matched group (see install_txn_mu_).
-  MovableMutexLock serial;
-  if (hook) serial = MovableMutexLock(install_txn_mu_);
-
   auto txn = txn_manager_->Begin();
   Status status = Status::OK();
-
-  auto find_query = [&shards](QueryId qid) {
-    std::shared_ptr<const EntangledQuery> query;
-    for (Shard* shard : shards) {
-      query = shard->pool.Get(qid);
-      if (query != nullptr) break;
-    }
-    return query;
-  };
-
   for (const QueryId qid : match.group) {
-    auto query = find_query(qid);
+    auto query = pool_.Get(qid);
     if (query == nullptr) {
       status = Status::Internal("matched query " + std::to_string(qid) +
                                 " vanished from the pool");
@@ -714,12 +407,12 @@ Result<bool> Coordinator::InstallLocked(const std::vector<Shard*>& shards,
     if (!status.ok()) break;
   }
 
-  if (status.ok() && hook) {
-    status = hook(txn.get(), txn_manager_, match);
+  if (status.ok() && install_hook_) {
+    status = install_hook_(txn.get(), txn_manager_, match);
   }
 
   if (!status.ok()) {
-    ++home->stats.failed_installs;
+    ++stats_.failed_installs;
     YOUTOPIA_LOG(kInfo) << "coordination install aborted: "
                         << status.ToString();
     Status abort = txn_manager_->Abort(txn.get());
@@ -734,7 +427,7 @@ Result<bool> Coordinator::InstallLocked(const std::vector<Shard*>& shards,
   if (CoordinatorJournal* journal = journal_.load()) {
     Status logged = journal->Installed(match.group, *txn);
     if (!logged.ok()) {
-      ++home->stats.failed_installs;
+      ++stats_.failed_installs;
       YOUTOPIA_LOG(kError) << "coordination install not journaled, aborting: "
                            << logged.ToString();
       Status abort = txn_manager_->Abort(txn.get());
@@ -745,115 +438,71 @@ Result<bool> Coordinator::InstallLocked(const std::vector<Shard*>& shards,
 
   YOUTOPIA_RETURN_IF_ERROR(txn_manager_->Commit(txn.get()));
 
-  // Point of no return: complete the group, each member in its shard.
+  // Point of no return: complete every member of the group.
   for (const QueryId qid : match.group) {
-    for (Shard* shard : shards) {
-      auto query = shard->pool.Remove(qid);
-      if (query == nullptr) continue;
-      shard->arrivals.erase(qid);
-      auto routing = TakeRouting(qid);
-      if (routing.has_value() && routing->spanning) {
-        cross_shard_pending_.fetch_sub(1);
-      }
-      auto it = shard->handles.find(qid);
-      if (it != shard->handles.end()) {
-        Complete(it->second, Status::OK(), match.answers.at(qid), deferred);
-        shard->handles.erase(it);
-      }
-      break;
+    if (pool_.Remove(qid) == nullptr) continue;
+    arrivals_.erase(qid);
+    auto it = handles_.find(qid);
+    if (it != handles_.end()) {
+      Complete(it->second, Status::OK(), match.answers.at(qid), deferred);
+      handles_.erase(it);
     }
   }
   return true;
 }
 
 size_t Coordinator::pending_count() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->pool.size();
-  }
-  return total;
+  MutexLock lock(mu_);
+  return pool_.size();
 }
 
-std::vector<PendingQueryInfo> Coordinator::Pending() const {
+std::vector<PendingQueryInfo> Coordinator::PendingLocked() const {
   const auto now = std::chrono::steady_clock::now();
   std::vector<PendingQueryInfo> out;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    for (QueryId id : shard->pool.AllIds()) {
-      auto query = shard->pool.Get(id);
-      PendingQueryInfo info;
-      info.id = id;
-      info.owner = query->owner;
-      info.sql = query->sql;
-      info.ir = query->ToString();
-      auto arrival = shard->arrivals.find(id);
-      if (arrival != shard->arrivals.end()) {
-        info.age_micros = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                now - arrival->second)
-                .count());
-      }
-      out.push_back(std::move(info));
+  out.reserve(pool_.size());
+  for (QueryId id : pool_.AllIds()) {
+    auto query = pool_.Get(id);
+    PendingQueryInfo info;
+    info.id = id;
+    info.owner = query->owner;
+    info.sql = query->sql;
+    info.ir = query->ToString();
+    auto arrival = arrivals_.find(id);
+    if (arrival != arrivals_.end()) {
+      info.age_micros = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              now - arrival->second)
+              .count());
     }
+    out.push_back(std::move(info));
   }
-  std::sort(out.begin(), out.end(),
-            [](const PendingQueryInfo& a, const PendingQueryInfo& b) {
-              return a.id < b.id;
-            });
   return out;
 }
 
+std::vector<PendingQueryInfo> Coordinator::Pending() const {
+  MutexLock lock(mu_);
+  return PendingLocked();
+}
+
 MatchGraph Coordinator::BuildGraph() const {
-  std::vector<MovableMutexLock> locks;
-  locks.reserve(shards_.size());
-  std::vector<const PendingPool*> pools;
-  pools.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    locks.emplace_back(shard->mu);
-    pools.push_back(&shard->pool);
-  }
-  return BuildMatchGraph(MergedPendingView(std::move(pools)));
+  MutexLock lock(mu_);
+  return BuildMatchGraph(pool_);
 }
 
 std::string Coordinator::RenderGraph() const {
-  std::vector<MovableMutexLock> locks;
-  locks.reserve(shards_.size());
-  std::vector<const PendingPool*> pools;
-  pools.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    locks.emplace_back(shard->mu);
-    pools.push_back(&shard->pool);
-  }
-  const MergedPendingView view(std::move(pools));
-  return BuildMatchGraph(view).ToString(view);
+  MutexLock lock(mu_);
+  return BuildMatchGraph(pool_).ToString(pool_);
 }
 
 CoordinatorStats Coordinator::stats() const {
   CoordinatorStats total;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    AccumulateStats(&total, shard->stats);
+  {
+    MutexLock lock(mu_);
+    total = stats_;
   }
-  total.batches = batches_.load();
-  total.batched_queries = batched_queries_.load();
   total.callbacks_registered = callback_counters_->registered.load();
   total.callbacks_fired = callback_counters_->fired.load();
   return total;
-}
-
-std::vector<Coordinator::ShardInfo> Coordinator::ShardInfos() const {
-  std::vector<ShardInfo> out;
-  out.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    MutexLock lock(shards_[i]->mu);
-    ShardInfo info;
-    info.shard = i;
-    info.pending = shards_[i]->pool.size();
-    info.stats = shards_[i]->stats;
-    out.push_back(std::move(info));
-  }
-  return out;
 }
 
 void Coordinator::SetJournal(CoordinatorJournal* journal) {
@@ -868,91 +517,33 @@ Status Coordinator::RestorePending(EntangledQuery query) {
     return Status::InvalidArgument(
         "restored query must carry its original id");
   }
-  const Route route = RouteOf(query);
   const QueryId id = query.id;
-
-  // cross_shard_pending_ may only increment with every shard mutex
-  // held (shard-local rounds rely on it); restoration is normally
-  // single-threaded, but keep the invariant anyway.
-  std::vector<MovableMutexLock> locks;
-  MovableMutexLock lock;
-  if (route.spanning) {
-    locks.reserve(shards_.size());
-    for (const auto& shard : shards_) locks.emplace_back(shard->mu);
-  } else {
-    lock = MovableMutexLock(shards_[route.home]->mu);
-  }
-  Shard* shard = shards_[route.home].get();
-  if (shard->pool.Contains(id)) {
+  MutexLock lock(mu_);
+  if (pool_.Contains(id)) {
     return Status::AlreadyExists("query " + std::to_string(id) +
                                  " is already pending");
   }
-
-  auto state = std::make_shared<EntangledHandle::State>();
-  state->id = id;
-  state->counters = callback_counters_;
-  shard->handles.emplace(id, state);
-  shard->arrivals.emplace(id, std::chrono::steady_clock::now());
-  shard->pool.Add(std::make_shared<const EntangledQuery>(std::move(query)));
-  ++shard->stats.submitted;
-  if (route.spanning) {
-    ++shard->stats.cross_shard_queries;
-    cross_shard_pending_.fetch_add(1);
-  }
-  {
-    MutexLock rlock(router_mu_);
-    shard_of_[id] = route;
-  }
-  SeedNextQueryId(id + 1);
+  RegisterLocked(std::move(query));
+  next_id_ = std::max(next_id_, id + 1);
   return Status::OK();
 }
 
 void Coordinator::SeedNextQueryId(QueryId floor) {
-  QueryId current = next_id_.load();
-  while (current < floor &&
-         !next_id_.compare_exchange_weak(current, floor)) {
-  }
+  MutexLock lock(mu_);
+  next_id_ = std::max(next_id_, floor);
 }
 
 Status Coordinator::WithQuiescedPending(
     const std::function<Status(const std::vector<PendingQueryInfo>&,
                                QueryId)>& fn) const {
-  std::vector<MovableMutexLock> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) locks.emplace_back(shard->mu);
-
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<PendingQueryInfo> pending;
-  for (const auto& shard : shards_) {
-    for (QueryId id : shard->pool.AllIds()) {
-      auto query = shard->pool.Get(id);
-      PendingQueryInfo info;
-      info.id = id;
-      info.owner = query->owner;
-      info.sql = query->sql;
-      info.ir = query->ToString();
-      auto arrival = shard->arrivals.find(id);
-      if (arrival != shard->arrivals.end()) {
-        info.age_micros = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                now - arrival->second)
-                .count());
-      }
-      pending.push_back(std::move(info));
-    }
-  }
-  std::sort(pending.begin(), pending.end(),
-            [](const PendingQueryInfo& a, const PendingQueryInfo& b) {
-              return a.id < b.id;
-            });
-  return fn(pending, next_id_.load());
+  MutexLock lock(mu_);
+  return fn(PendingLocked(), next_id_);
 }
 
 void Coordinator::SetInstallHook(InstallHook hook) {
   {
-    MutexLock lock(hook_mu_);
+    MutexLock lock(mu_);
     install_hook_ = std::move(hook);
-    hook_installed_.store(static_cast<bool>(install_hook_));
   }
   // Hooks change what an installation writes (extra tables, inventory
   // decrements), which the plan cache's consumers may have planned

@@ -23,10 +23,7 @@
 namespace youtopia {
 
 /// Aggregate counters exposed to the administrative interface and the
-/// scalability benchmarks. With a sharded coordinator each shard keeps
-/// its own copy of the per-round counters; `Coordinator::stats()` sums
-/// them (plus the coordinator-wide batch/callback counters), and
-/// `Coordinator::ShardInfos()` exposes the per-shard breakdown.
+/// benchmarks.
 struct CoordinatorStats {
   size_t submitted = 0;
   size_t matched_queries = 0;
@@ -38,22 +35,15 @@ struct CoordinatorStats {
   size_t match_calls = 0;
   uint64_t match_micros_total = 0;
   size_t search_steps_total = 0;
-  /// Matching rounds that ran on one shard under its own mutex alone.
+  /// Every matching round: one per Submit/SubmitAll, one per retriggered
+  /// root. `global_rounds` is always 0. Both keep these names because
+  /// perfbench's traced driver reads them (coord.global_round_frac).
   size_t shard_rounds = 0;
-  /// Matching rounds escalated to a global (all-shard) round: because
-  /// a query's answer relations span shards, because such a query was
-  /// pending, or because an install hook is registered (hooks touch
-  /// tables shared across shards, so every round goes global while one
-  /// is set). Attributed to the home shard of the triggering query.
   size_t global_rounds = 0;
-  /// Submitted queries whose answer relations span multiple shards.
-  size_t cross_shard_queries = 0;
-  /// SubmitAll calls and the queries they carried (coordinator-wide;
-  /// zero in per-shard breakdowns).
+  /// SubmitAll calls and the queries they carried.
   size_t batches = 0;
   size_t batched_queries = 0;
-  /// OnComplete registrations and deliveries (across all handles;
-  /// coordinator-wide, zero in per-shard breakdowns).
+  /// OnComplete registrations and deliveries (across all handles).
   size_t callbacks_registered = 0;
   size_t callbacks_fired = 0;
 };
@@ -115,8 +105,8 @@ class EntangledHandle {
     std::atomic<size_t> fired{0};
   };
   struct State {
-    /// Rank kHandleState: completion happens while shard mutexes are
-    /// held, so handle state nests inside every coordinator lock.
+    /// Rank kHandleState: completion happens while the coordinator
+    /// mutex is held, so handle state nests inside it.
     mutable Mutex mu{LockRank::kHandleState, "handle_state"};
     mutable CondVar cv;
     /// Immutable after construction (set before the state is shared).
@@ -162,12 +152,9 @@ struct CoordinatorConfig {
   MatchConfig match;
   /// Create missing answer-relation tables on first install.
   bool auto_create_answer_tables = true;
-  /// Number of pending-pool shards, keyed by answer relation: a query
-  /// whose heads and constraints all name relations of one shard
-  /// registers and matches entirely under that shard's mutex, so
-  /// independent coordinations (different answer relations) match in
-  /// parallel. 1 (the default) reproduces the single-mutex coordinator
-  /// exactly. Values are clamped to [1, 64].
+  /// Ignored. The coordinator is one mutex over one pending pool
+  /// (DESIGN.md #4); the field stays only because perfbench's traced
+  /// driver still sets it.
   size_t num_shards = 1;
 };
 
@@ -186,20 +173,9 @@ struct PendingQueryInfo {
 /// regular tables and the pending-query tables, and directing the
 /// execution engine to install coordinated answers.
 ///
-/// Concurrency model: the pending pool is partitioned into
-/// `CoordinatorConfig::num_shards` shards keyed by (lowercased) answer
-/// relation; each shard owns a mutex, a PendingPool, and a Matcher.
-/// A query's *home shard* is the shard of the lexicographically
-/// smallest relation among its heads and constraints — deterministic,
-/// so symmetric partners always route to the same shard. Queries local
-/// to one shard register and match under that shard's mutex alone;
-/// matching rounds of different shards run concurrently. A query whose
-/// relations span shards *escalates*: the round briefly locks every
-/// shard (in index order — deadlock free) and matches over the merged
-/// view. While any cross-shard query is pending, all rounds escalate,
-/// which keeps sharded matching outcome-equivalent to the single-mutex
-/// coordinator: shard-local rounds only ever run when every pending
-/// query's match-graph neighbourhood is confined to its own shard.
+/// Concurrency model: one mutex guards the pending pool, the Matcher and
+/// every per-query map, so registration, matching, installation and
+/// withdrawal are serialized (design decision #4).
 /// Installation runs inside a transaction from the TxnManager, so a
 /// concurrent regular workload observes coordinated answers atomically
 /// — design decision #3. Completion callbacks fire after all internal
@@ -225,8 +201,7 @@ class Coordinator {
   /// is eventually answered.
   Result<EntangledHandle> Submit(EntangledQuery query);
 
-  /// Registers a whole batch, then runs one matching round per touched
-  /// shard (a single global round when the batch crosses shards). A
+  /// Registers a whole batch, then runs one matching round over it. A
   /// complete group submitted together (the paper's friends booking
   /// jointly) closes in one round instead of N lock round-trips, and
   /// intermediate partial matches are never attempted. All-or-nothing
@@ -252,7 +227,7 @@ class Coordinator {
 
   /// Withdraws every pending query that has waited longer than
   /// `max_age`; their handles complete with kTimedOut and their
-  /// registered OnComplete callbacks fire (outside the shard locks),
+  /// registered OnComplete callbacks fire (outside the coordinator lock),
   /// exactly as for satisfaction and cancellation. Returns the number
   /// expired. Gives deployments a lever against queries whose partners
   /// never arrive.
@@ -265,31 +240,7 @@ class Coordinator {
   /// Text rendering of the current match graph (admin interface).
   std::string RenderGraph() const;
 
-  /// Aggregate counters: per-shard counters summed, plus the
-  /// coordinator-wide batch and callback counters.
   CoordinatorStats stats() const;
-
-  /// Per-shard introspection entry: pending count plus that shard's
-  /// counters. The per-shard-attributable counter fields sum to the
-  /// aggregate reported by stats().
-  struct ShardInfo {
-    size_t shard = 0;
-    size_t pending = 0;
-    CoordinatorStats stats;
-  };
-  std::vector<ShardInfo> ShardInfos() const;
-
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Deterministic shard of one (case-insensitively normalized) answer
-  /// relation. Exposed so tests and benchmarks can construct workloads
-  /// with known shard placement.
-  size_t ShardOfRelation(const std::string& relation) const;
-
-  /// Deterministic home shard of `query`: the shard of the
-  /// lexicographically smallest lowercased relation among its heads and
-  /// constraints.
-  size_t HomeShardOf(const EntangledQuery& query) const;
 
   const CoordinatorConfig& config() const { return config_; }
 
@@ -313,7 +264,7 @@ class Coordinator {
   /// submissions never collide with ids the journal has already seen.
   void SeedNextQueryId(QueryId floor);
 
-  /// Runs `fn(pending, next_id)` with every shard mutex held: no
+  /// Runs `fn(pending, next_id)` with the coordinator mutex held: no
   /// submission, match, install or withdrawal can interleave, so the
   /// pending list and id counter `fn` sees are a consistent cut.
   /// Checkpointing uses this to snapshot coordinator state atomically
@@ -325,108 +276,59 @@ class Coordinator {
 
  private:
   /// A completed handle whose callbacks still have to run; collected
-  /// while shard mutexes are held, fired after they are released.
+  /// while the coordinator mutex is held, fired after it is released.
   struct DeferredNotification {
     std::shared_ptr<EntangledHandle::State> state;
     std::vector<EntangledHandle::CompletionCallback> callbacks;
   };
   using Deferred = std::vector<DeferredNotification>;
 
-  /// One partition of the pending pool. All fields are guarded by `mu`
-  /// except where noted; matching rounds of different shards hold only
-  /// their own `mu`, global rounds hold every shard's `mu` (acquired in
-  /// index order).
-  struct Shard {
-    /// Rank kCoordinatorShard with seq = shard index: global rounds
-    /// lock every shard in index order, which the validator enforces
-    /// through the equal-rank/increasing-seq rule.
-    explicit Shard(size_t index)
-        : mu(LockRank::kCoordinatorShard, "coordinator_shard",
-             static_cast<uint32_t>(index)) {}
-    mutable Mutex mu;
-    PendingPool pool GUARDED_BY(mu);
-    /// Pointer immutable after construction; the Matcher (stateful rng)
-    /// is only invoked with `mu` held.
-    std::unique_ptr<Matcher> matcher;
-    std::map<QueryId, std::shared_ptr<EntangledHandle::State>> handles
-        GUARDED_BY(mu);
-    std::map<QueryId, std::chrono::steady_clock::time_point> arrivals
-        GUARDED_BY(mu);
-    CoordinatorStats stats GUARDED_BY(mu);
-  };
-
-  /// Where a query registers and whether its relations span shards.
-  struct Route {
-    size_t home = 0;
-    bool spanning = false;
-  };
-  Route RouteOf(const EntangledQuery& query) const;
-
-  std::vector<Shard*> AllShards() const;
-
-  /// Registers `query` (assigning a fresh id) into shard `shard_idx`
-  /// without matching. Caller holds that shard's mu (and every other
-  /// shard's mu when `spanning`) — a dynamic set the static analysis
-  /// cannot express, hence no REQUIRES annotation (the rank validator
-  /// still checks the footprint at runtime).
-  std::shared_ptr<EntangledHandle::State> RegisterLocked(
-      size_t shard_idx, EntangledQuery query, bool spanning)
-      NO_THREAD_SAFETY_ANALYSIS;
+  /// Adds `query` to the pool under `query.id` and creates its handle.
+  std::shared_ptr<EntangledHandle::State> RegisterLocked(EntangledQuery query)
+      REQUIRES(mu_);
 
   /// The submission protocol shared by Submit and SubmitAll: registers
-  /// `queries` (routes[i] must be RouteOf(queries[i])) and runs one
-  /// matching round over them — global (all shards locked in index
-  /// order) when `force_global` or when a cross-shard query is pending
-  /// (re-checked under the home shard's mutex), shard-local on
-  /// shards_[home_idx] otherwise. On a matching error every query this
-  /// call registered is withdrawn before returning, so no phantom
-  /// registrations outlive a failed submission. On success returns one
-  /// handle state per query, in order.
-  Result<std::vector<std::shared_ptr<EntangledHandle::State>>>
-  SubmitRoundRouted(std::vector<EntangledQuery> queries,
-                    const std::vector<Route>& routes, size_t home_idx,
-                    bool force_global, Deferred* deferred)
-      NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Withdraws a pending query by id: resolves the owning shard
-  /// through the routing map, locks it, and delegates to
-  /// WithdrawLocked. NotFound when the query already completed.
-  Status WithdrawPending(QueryId id, Status outcome, Deferred* deferred);
+  /// `queries` under fresh ids, journals them, and runs one matching
+  /// round over them. On an error every query this call registered is
+  /// withdrawn before returning, so no phantom registrations outlive a
+  /// failed submission. On success returns one handle state per query,
+  /// in order.
+  Result<std::vector<std::shared_ptr<EntangledHandle::State>>> SubmitLocked(
+      std::vector<EntangledQuery> queries, Deferred* deferred) REQUIRES(mu_);
 
   /// Runs matching rounds rooted at each of `roots` in order and, on
-  /// success, installs groups and retriggers affected queries. `shards`
-  /// is the locked footprint (one home shard, or every shard for a
-  /// global round); `home` supplies the Matcher and receives the
-  /// round's counters. Caller holds the mutex of every shard in
-  /// `shards`. Returns number of queries satisfied (group sizes summed
-  /// over the retrigger cascade).
-  Result<size_t> MatchAndInstallLocked(const std::vector<Shard*>& shards,
-                                       Shard* home,
-                                       const std::vector<QueryId>& roots,
-                                       Deferred* deferred)
-      REQUIRES(home->mu) NO_THREAD_SAFETY_ANALYSIS;
+  /// success, installs groups and retriggers affected queries. Returns
+  /// number of queries satisfied (group sizes summed over the retrigger
+  /// cascade).
+  Result<size_t> MatchAndInstallLocked(const std::vector<QueryId>& roots,
+                                       Deferred* deferred) REQUIRES(mu_);
 
   /// Installs a matched group atomically. On success removes members
-  /// from their pools and completes their handles. Caller holds the
-  /// mutex of every shard in `shards`.
-  Result<bool> InstallLocked(const std::vector<Shard*>& shards, Shard* home,
-                             const MatchResult& match, Deferred* deferred)
-      REQUIRES(home->mu) NO_THREAD_SAFETY_ANALYSIS;
+  /// from the pool and completes their handles.
+  Result<bool> InstallLocked(const MatchResult& match, Deferred* deferred)
+      REQUIRES(mu_);
 
-  /// Removes `id` from `shard`'s pool/handles, completing the handle
-  /// with `outcome` (cancellation, expiry). Caller holds shard->mu.
-  Status WithdrawLocked(Shard* shard, QueryId id, Status outcome,
-                        Deferred* deferred) REQUIRES(shard->mu);
+  /// Removes `id` from the pool and handles, completing the handle with
+  /// `outcome` (cancellation, expiry). NotFound when it is not pending.
+  Status WithdrawLocked(QueryId id, Status outcome, Deferred* deferred)
+      REQUIRES(mu_);
+
+  /// One matching round per still-pending id in `ids` — the shared body
+  /// of RetriggerAll and RetriggerDependentsOf.
+  Result<size_t> RetriggerLocked(const std::vector<QueryId>& ids,
+                                 Deferred* deferred) REQUIRES(mu_);
+
+  std::vector<PendingQueryInfo> PendingLocked() const REQUIRES(mu_);
 
   /// Marks `state` done with `outcome`, wakes waiters and queues its
-  /// callbacks for delivery after the locks drop.
+  /// callbacks for delivery after the lock drops.
   void Complete(const std::shared_ptr<EntangledHandle::State>& state,
                 Status outcome, std::vector<Tuple> answers,
                 Deferred* deferred);
 
-  /// Delivers queued completion callbacks. Must be called with NO shard
-  /// mutex held; every public entry point that can complete handles
-  /// flushes after releasing its locks (error paths included).
+  /// Delivers queued completion callbacks. Must be called with the
+  /// coordinator mutex released; every public entry point that can
+  /// complete handles flushes after unlocking (error paths included).
   void FireCallbacks(Deferred* deferred);
 
   StorageEngine* storage_;
@@ -435,73 +337,25 @@ class Coordinator {
   AnswerRelationManager answers_;
   std::shared_ptr<EntangledHandle::CallbackCounters> callback_counters_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Rank kCoordinator: the outermost engine lock below the client
+  /// tiers. Journal appends, install transactions and handle completion
+  /// all nest inside it.
+  mutable Mutex mu_{LockRank::kCoordinator, "coordinator"};
+  PendingPool pool_ GUARDED_BY(mu_);
+  /// Stateful (the CHOOSE-1 rng), so only invoked with mu_ held.
+  Matcher matcher_ GUARDED_BY(mu_);
+  std::map<QueryId, std::shared_ptr<EntangledHandle::State>> handles_
+      GUARDED_BY(mu_);
+  std::map<QueryId, std::chrono::steady_clock::time_point> arrivals_
+      GUARDED_BY(mu_);
+  CoordinatorStats stats_ GUARDED_BY(mu_);
+  QueryId next_id_ GUARDED_BY(mu_) = 1;
+  InstallHook install_hook_ GUARDED_BY(mu_);
 
-  /// Pending queries whose answer relations span shards. While > 0
-  /// every matching round escalates to a global round; incremented only
-  /// with every shard mutex held, so a shard-local round that reads 0
-  /// under its own mutex is guaranteed no cross-shard query can
-  /// register before it finishes.
-  std::atomic<size_t> cross_shard_pending_{0};
-
-  std::atomic<QueryId> next_id_{1};
-
-  /// Coordinator-wide batch counters (not shard-attributable).
-  std::atomic<size_t> batches_{0};
-  std::atomic<size_t> batched_queries_{0};
-
-  /// Pending-query routing state: owning shard (so Cancel can find it
-  /// without sweeping every pool) and whether the query counted into
-  /// cross_shard_pending_ at registration (read back on removal, so
-  /// the decrement can never disagree with the increment). Guarded by
-  /// router_mu_; lock order is always shard mutexes first, router_mu_
-  /// last.
-  mutable Mutex router_mu_{LockRank::kCoordinatorRouter,
-                           "coordinator_router"};
-  std::map<QueryId, Route> shard_of_ GUARDED_BY(router_mu_);
-
-  /// Removes `id`'s routing entry and returns it (home = owning shard,
-  /// spanning = registered as cross-shard); nullopt when absent.
-  std::optional<Route> TakeRouting(QueryId id);
-
-  /// Runs matching rounds rooted at every pending query selected by
-  /// `ids` (per-shard when no cross-shard query is pending, otherwise
-  /// one all-shard pass) — the shared body of RetriggerAll and
-  /// RetriggerDependentsOf.
-  Result<size_t> Retrigger(
-      const std::function<std::vector<QueryId>(const PendingPool&)>& ids,
-      Deferred* deferred) NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Durability journal; atomic so submissions on other threads see a
-  /// SetJournal without a dedicated lock. Journal calls happen with the
-  /// relevant shard mutexes held, keeping log order consistent with
-  /// pool mutation order.
+  /// Durability journal; atomic so SetJournal needs no lock. Journal
+  /// calls happen with mu_ held, keeping log order consistent with pool
+  /// mutation order.
   std::atomic<CoordinatorJournal*> journal_{nullptr};
-
-  /// A dedicated mutex so SetInstallHook never touches a shard lock;
-  /// installs copy the hook out before calling.
-  mutable Mutex hook_mu_{LockRank::kCoordinatorHook, "coordinator_hook"};
-  InstallHook install_hook_ GUARDED_BY(hook_mu_);
-
-  /// True while install_hook_ is set. Hooks may read and write tables
-  /// shared across shards (the travel inventory hook updates Flights),
-  /// which breaks shard independence two ways: concurrent installs
-  /// could 2PL-conflict and strand a matched group, and another
-  /// shard's matcher — which grounds against raw storage — could
-  /// dirty-read the hook transaction's uncommitted writes. So while a
-  /// hook is registered every round escalates to a global round
-  /// (mutually exclusive by construction), trading shard parallelism
-  /// for correctness on the hook path.
-  std::atomic<bool> hook_installed_{false};
-
-  /// Belt-and-suspenders for rounds already in flight when the hook is
-  /// registered: serializes hook-bearing install transactions. Rank
-  /// kCoordinatorInstall: acquired with shard mutexes held, before the
-  /// WAL/storage locks the install transaction takes — never the other
-  /// way around. (Register hooks before concurrent submission starts —
-  /// the travel service does — and this never contends.)
-  Mutex install_txn_mu_{LockRank::kCoordinatorInstall,
-                        "coordinator_install_txn"};
 };
 
 }  // namespace youtopia

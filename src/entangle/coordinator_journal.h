@@ -13,8 +13,8 @@ class Transaction;
 /// Durability hooks for coordinator activity (design decision #8). The
 /// coordinator calls these at the three points where its pending state
 /// changes; a WAL-backed implementation journals them so coordinations
-/// survive a restart. All calls arrive with the relevant shard mutexes
-/// held, so implementations must not call back into the coordinator.
+/// survive a restart. All calls arrive with the coordinator mutex held,
+/// so implementations must not call back into the coordinator.
 ///
 /// The contract per call:
 ///   Submitted  — `query` was registered as pending (its id assigned).

@@ -32,7 +32,7 @@ bool CanUnify(const EntangledQuery& from, size_t constraint_index,
 
 }  // namespace
 
-MatchGraph BuildMatchGraph(const PendingView& pool) {
+MatchGraph BuildMatchGraph(const PendingPool& pool) {
   MatchGraph graph;
   graph.nodes = pool.AllIds();
   for (QueryId from_id : graph.nodes) {
@@ -76,7 +76,7 @@ std::vector<std::vector<QueryId>> MatchGraph::Components() const {
   return out;
 }
 
-std::string MatchGraph::ToString(const PendingView& pool) const {
+std::string MatchGraph::ToString(const PendingPool& pool) const {
   std::string out = "Match graph: " + std::to_string(nodes.size()) +
                     " pending queries, " + std::to_string(edges.size()) +
                     " candidate edges\n";

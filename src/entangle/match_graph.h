@@ -34,11 +34,11 @@ struct MatchGraph {
   std::vector<std::vector<QueryId>> Components() const;
 
   /// Text rendering for the admin console.
-  std::string ToString(const PendingView& pool) const;
+  std::string ToString(const PendingPool& pool) const;
 };
 
 /// Builds the graph over all queries in the pool.
-MatchGraph BuildMatchGraph(const PendingView& pool);
+MatchGraph BuildMatchGraph(const PendingPool& pool);
 
 }  // namespace youtopia
 

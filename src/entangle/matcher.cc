@@ -71,7 +71,7 @@ Result<std::vector<Tuple>> Matcher::StoredCandidates(
 }
 
 Result<std::optional<MatchResult>> Matcher::TryMatch(QueryId root,
-                                                     const PendingView& pool) {
+                                                     const PendingPool& pool) {
   auto query = pool.Get(root);
   if (query == nullptr) {
     return Status::NotFound("query " + std::to_string(root) +
@@ -89,7 +89,7 @@ Result<std::optional<MatchResult>> Matcher::TryMatch(QueryId root,
   return std::optional<MatchResult>(std::move(result));
 }
 
-Result<bool> Matcher::Search(GroupState state, const PendingView& pool,
+Result<bool> Matcher::Search(GroupState state, const PendingPool& pool,
                              SearchStats* stats, MatchResult* result) {
   if (state.obligations.empty()) {
     return TryGround(state, stats, result);

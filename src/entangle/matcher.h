@@ -87,7 +87,7 @@ class Matcher {
   /// Returns nullopt when no group exists within budget (the query
   /// stays pending). Errors indicate storage-level failures only.
   Result<std::optional<MatchResult>> TryMatch(QueryId root,
-                                              const PendingView& pool);
+                                              const PendingPool& pool);
 
   const MatchConfig& config() const { return config_; }
 
@@ -124,7 +124,7 @@ class Matcher {
                           std::shared_ptr<const EntangledQuery> query);
 
   /// DFS over obligations. On success fills `result`.
-  Result<bool> Search(GroupState state, const PendingView& pool,
+  Result<bool> Search(GroupState state, const PendingPool& pool,
                       SearchStats* stats, MatchResult* result);
 
   /// Phase 2: grounds all variable classes and verifies the group.

@@ -1,7 +1,5 @@
 #include "entangle/pending_pool.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 #include "entangle/unification.h"
 
@@ -180,95 +178,6 @@ std::vector<QueryId> PendingPool::QueriesUnblockedBy(
     }
   }
   return out;
-}
-
-namespace {
-
-/// Concatenates per-pool id lists (each already sorted) and restores
-/// global id order, so a merged view enumerates candidates exactly like
-/// one pool holding the union would.
-std::vector<QueryId> MergeIdLists(
-    const std::vector<const PendingPool*>& pools,
-    std::vector<QueryId> (PendingPool::*member)(const std::string&) const,
-    const std::string& arg) {
-  std::vector<QueryId> out;
-  for (const PendingPool* pool : pools) {
-    std::vector<QueryId> part = (pool->*member)(arg);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-}  // namespace
-
-std::shared_ptr<const EntangledQuery> MergedPendingView::Get(
-    QueryId id) const {
-  for (const PendingPool* pool : pools_) {
-    auto query = pool->Get(id);
-    if (query != nullptr) return query;
-  }
-  return nullptr;
-}
-
-bool MergedPendingView::Contains(QueryId id) const {
-  for (const PendingPool* pool : pools_) {
-    if (pool->Contains(id)) return true;
-  }
-  return false;
-}
-
-size_t MergedPendingView::size() const {
-  size_t total = 0;
-  for (const PendingPool* pool : pools_) total += pool->size();
-  return total;
-}
-
-std::vector<QueryId> MergedPendingView::AllIds() const {
-  std::vector<QueryId> out;
-  for (const PendingPool* pool : pools_) {
-    std::vector<QueryId> part = pool->AllIds();
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<QueryId> MergedPendingView::QueriesWithHeadOn(
-    const std::string& relation) const {
-  return MergeIdLists(pools_, &PendingPool::QueriesWithHeadOn, relation);
-}
-
-std::vector<QueryId> MergedPendingView::QueriesWithConstraintOn(
-    const std::string& relation) const {
-  return MergeIdLists(pools_, &PendingPool::QueriesWithConstraintOn, relation);
-}
-
-std::vector<QueryId> MergedPendingView::CandidateProviders(
-    const AnswerAtom& constraint) const {
-  std::vector<QueryId> out;
-  for (const PendingPool* pool : pools_) {
-    std::vector<QueryId> part = pool->CandidateProviders(constraint);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<QueryId> MergedPendingView::QueriesUnblockedBy(
-    const std::string& relation, const Tuple& tuple) const {
-  std::vector<QueryId> out;
-  for (const PendingPool* pool : pools_) {
-    std::vector<QueryId> part = pool->QueriesUnblockedBy(relation, tuple);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<QueryId> MergedPendingView::QueriesWithDomainOn(
-    const std::string& table) const {
-  return MergeIdLists(pools_, &PendingPool::QueriesWithDomainOn, table);
 }
 
 }  // namespace youtopia

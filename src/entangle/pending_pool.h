@@ -12,56 +12,6 @@
 
 namespace youtopia {
 
-/// Read interface over a set of pending entangled queries. The matcher
-/// and the match graph are written against this view so they can run
-/// either over a single PendingPool (one coordinator shard matching
-/// under its own mutex) or over a MergedPendingView spanning every
-/// shard (a global round, taken when a query's answer relations cross
-/// shard boundaries). All id lists come back in ascending id order so
-/// candidate enumeration — and therefore matching behavior — does not
-/// depend on how the pending set is partitioned.
-class PendingView {
- public:
-  virtual ~PendingView() = default;
-
-  /// nullptr if absent.
-  virtual std::shared_ptr<const EntangledQuery> Get(QueryId id) const = 0;
-  virtual bool Contains(QueryId id) const = 0;
-  virtual size_t size() const = 0;
-
-  /// Ids in arrival (id) order.
-  virtual std::vector<QueryId> AllIds() const = 0;
-
-  /// Queries with at least one head on `relation` (case-insensitive),
-  /// in id order.
-  virtual std::vector<QueryId> QueriesWithHeadOn(
-      const std::string& relation) const = 0;
-
-  /// Queries with at least one constraint on `relation`.
-  virtual std::vector<QueryId> QueriesWithConstraintOn(
-      const std::string& relation) const = 0;
-
-  /// Queries whose heads could provide `constraint`: filtered by
-  /// relation and by the constraint's first constant position (heads
-  /// carrying a different constant there are skipped without
-  /// unification). A superset of the truly unifiable providers.
-  virtual std::vector<QueryId> CandidateProviders(
-      const AnswerAtom& constraint) const = 0;
-
-  /// Queries having a constraint on `relation` that could match the
-  /// newly installed `tuple` (exact AtomMayMatchTuple check). This is
-  /// the retrigger set after an installation: only these queries can
-  /// have gained a match opportunity.
-  virtual std::vector<QueryId> QueriesUnblockedBy(
-      const std::string& relation, const Tuple& tuple) const = 0;
-
-  /// Queries with a domain predicate over `table` — the retrigger set
-  /// after regular DML changes that table ("waits for an opportunity to
-  /// retry", paper §1).
-  virtual std::vector<QueryId> QueriesWithDomainOn(
-      const std::string& table) const = 0;
-};
-
 /// The registry of entangled queries waiting for partners — the paper's
 /// "internal tables that store the list of pending queries" (§2.2).
 ///
@@ -74,8 +24,8 @@ class PendingView {
 /// keeps the loaded-system demo (paper §3) interactive.
 ///
 /// Not internally synchronized: the Coordinator serializes all access
-/// under the owning shard's matching mutex.
-class PendingPool : public PendingView {
+/// under its mutex. All id lists come back in ascending id order.
+class PendingPool {
  public:
   PendingPool() = default;
   PendingPool(const PendingPool&) = delete;
@@ -86,29 +36,39 @@ class PendingPool : public PendingView {
   /// Removes and returns the query; nullptr if absent.
   std::shared_ptr<const EntangledQuery> Remove(QueryId id);
 
-  std::shared_ptr<const EntangledQuery> Get(QueryId id) const override;
+  /// nullptr if absent.
+  std::shared_ptr<const EntangledQuery> Get(QueryId id) const;
 
-  bool Contains(QueryId id) const override {
-    return queries_.count(id) > 0;
-  }
-  size_t size() const override { return queries_.size(); }
+  bool Contains(QueryId id) const { return queries_.count(id) > 0; }
+  size_t size() const { return queries_.size(); }
 
-  std::vector<QueryId> AllIds() const override;
+  /// Ids in arrival (id) order.
+  std::vector<QueryId> AllIds() const;
 
-  std::vector<QueryId> QueriesWithHeadOn(
-      const std::string& relation) const override;
+  /// Queries with at least one head on `relation` (case-insensitive).
+  std::vector<QueryId> QueriesWithHeadOn(const std::string& relation) const;
 
+  /// Queries with at least one constraint on `relation`.
   std::vector<QueryId> QueriesWithConstraintOn(
-      const std::string& relation) const override;
+      const std::string& relation) const;
 
-  std::vector<QueryId> CandidateProviders(
-      const AnswerAtom& constraint) const override;
+  /// Queries whose heads could provide `constraint`: filtered by
+  /// relation and by the constraint's first constant position (heads
+  /// carrying a different constant there are skipped without
+  /// unification). A superset of the truly unifiable providers.
+  std::vector<QueryId> CandidateProviders(const AnswerAtom& constraint) const;
 
+  /// Queries having a constraint on `relation` that could match the
+  /// newly installed `tuple` (exact AtomMayMatchTuple check). This is
+  /// the retrigger set after an installation: only these queries can
+  /// have gained a match opportunity.
   std::vector<QueryId> QueriesUnblockedBy(const std::string& relation,
-                                          const Tuple& tuple) const override;
+                                          const Tuple& tuple) const;
 
-  std::vector<QueryId> QueriesWithDomainOn(
-      const std::string& table) const override;
+  /// Queries with a domain predicate over `table` — the retrigger set
+  /// after regular DML changes that table ("waits for an opportunity to
+  /// retry", paper §1).
+  std::vector<QueryId> QueriesWithDomainOn(const std::string& table) const;
 
  private:
   /// Per (relation, position): query ids bucketed by the constant at
@@ -134,37 +94,6 @@ class PendingPool : public PendingView {
   /// Fine-grained constant-position indexes.
   AtomIndex head_index_;
   AtomIndex constraint_index_;
-};
-
-/// A live, read-only union of several PendingPools — what a global
-/// matching round sees when the sharded coordinator has to search
-/// across shard boundaries. Holds raw pointers; the coordinator must
-/// keep every underlying shard locked for the view's lifetime. Query
-/// ids are globally unique across shards, so merged id lists are
-/// deduplication-free; they are re-sorted so enumeration order matches
-/// a single pool holding the same queries.
-class MergedPendingView : public PendingView {
- public:
-  explicit MergedPendingView(std::vector<const PendingPool*> pools)
-      : pools_(std::move(pools)) {}
-
-  std::shared_ptr<const EntangledQuery> Get(QueryId id) const override;
-  bool Contains(QueryId id) const override;
-  size_t size() const override;
-  std::vector<QueryId> AllIds() const override;
-  std::vector<QueryId> QueriesWithHeadOn(
-      const std::string& relation) const override;
-  std::vector<QueryId> QueriesWithConstraintOn(
-      const std::string& relation) const override;
-  std::vector<QueryId> CandidateProviders(
-      const AnswerAtom& constraint) const override;
-  std::vector<QueryId> QueriesUnblockedBy(const std::string& relation,
-                                          const Tuple& tuple) const override;
-  std::vector<QueryId> QueriesWithDomainOn(
-      const std::string& table) const override;
-
- private:
-  std::vector<const PendingPool*> pools_;
 };
 
 }  // namespace youtopia

@@ -54,9 +54,9 @@ std::string AdminSnapshot::ToString() const {
       stats.submitted, stats.matched_queries, stats.matched_groups,
       stats.cancelled, stats.failed_installs);
   out += StringPrintf(
-      "  match_calls=%zu search_steps=%zu from_stored=%zu "
+      "  rounds=%zu match_calls=%zu search_steps=%zu from_stored=%zu "
       "match_time_us=%llu\n",
-      stats.match_calls, stats.search_steps_total,
+      stats.shard_rounds, stats.match_calls, stats.search_steps_total,
       stats.constraints_from_stored,
       static_cast<unsigned long long>(stats.match_micros_total));
   out += StringPrintf(
@@ -64,19 +64,6 @@ std::string AdminSnapshot::ToString() const {
       "callbacks_fired=%zu\n",
       stats.batches, stats.batched_queries, stats.callbacks_registered,
       stats.callbacks_fired);
-  out += StringPrintf("  shard_rounds=%zu global_rounds=%zu "
-                      "cross_shard_queries=%zu\n",
-                      stats.shard_rounds, stats.global_rounds,
-                      stats.cross_shard_queries);
-  out += "-- Coordinator shards --\n";
-  for (const Coordinator::ShardInfo& s : shards) {
-    out += StringPrintf(
-        "  shard %zu: pending=%zu submitted=%zu matched=%zu groups=%zu "
-        "rounds(local=%zu, global=%zu) cross_shard=%zu\n",
-        s.shard, s.pending, s.stats.submitted, s.stats.matched_queries,
-        s.stats.matched_groups, s.stats.shard_rounds, s.stats.global_rounds,
-        s.stats.cross_shard_queries);
-  }
   out += "-- Executor service --\n";
   out += StringPrintf(
       "  workers=%zu queue_depth=%zu (peak=%zu, executing=%zu)\n",
@@ -151,7 +138,6 @@ AdminSnapshot TakeAdminSnapshot(const Youtopia& db) {
   snapshot.access = storage.access_stats();
   snapshot.pending = db.coordinator().Pending();
   snapshot.stats = db.coordinator().stats();
-  snapshot.shards = db.coordinator().ShardInfos();
   snapshot.executor = db.executor_service().stats();
   snapshot.plan_cache = db.plan_cache().stats();
   if (db.wal() != nullptr) {

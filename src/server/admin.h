@@ -39,9 +39,6 @@ struct AdminSnapshot {
   StorageEngine::AccessStats access;
   std::vector<PendingQueryInfo> pending;
   CoordinatorStats stats;
-  /// Per-shard breakdown of the coordinator's pending pool and
-  /// counters; the shard-attributable counters sum to `stats`.
-  std::vector<Coordinator::ShardInfo> shards;
   /// Executor-service counters: queue depth, tasks executed, conflict
   /// requeues, worker utilization.
   ExecutorService::Stats executor;

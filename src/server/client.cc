@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/backoff.h"
-
 namespace youtopia {
 
 void Client::Record(const std::string& sql) {
@@ -46,12 +44,6 @@ std::vector<EntangledHandle> Client::OutstandingSet::Snapshot() {
                      [](const EntangledHandle& h) { return h.Done(); }),
       handles.end());
   return handles;
-}
-
-std::chrono::milliseconds LockRetryPause(const ClientOptions& options,
-                                         size_t completed_attempts) {
-  return ExponentialBackoff(options.retry_interval, options.retry_max_interval,
-                            completed_attempts);
 }
 
 StatementTask Client::MakeTask(StatementTask::Kind kind,

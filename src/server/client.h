@@ -52,19 +52,6 @@ struct ClientOptions {
   bool record_history = true;
 };
 
-/// The pause the client sleeps before its (completed_attempts+1)-th
-/// lock-conflict retry: retry_interval doubled per completed retry,
-/// clamped to [max(retry_interval, 1ms), max(retry_max_interval,
-/// retry_interval, 1ms)]. The 1ms floor is what keeps a zero
-/// retry_interval from degenerating into a busy spin on
-/// steady_clock::now(). A thin wrapper over `ExponentialBackoff`
-/// (common/backoff.h) — the executor service's conflict requeues run
-/// the identical schedule. Exposed so tests (and middle tiers that
-/// mirror the client's pacing) can check the schedule without racing
-/// clocks.
-std::chrono::milliseconds LockRetryPause(const ClientOptions& options,
-                                         size_t completed_attempts);
-
 /// The stable public façade over an embedded `Youtopia` instance — the
 /// API every external caller (middle tiers, examples, benchmarks,
 /// future network frontends) programs against. One `Client` per logical

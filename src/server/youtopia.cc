@@ -242,10 +242,10 @@ Status Youtopia::Checkpoint() {
   return coordinator_.WithQuiescedPending(
       [&](const std::vector<PendingQueryInfo>& pending,
           QueryId next_id) -> Status {
-        // The shard mutexes quiesce the coordinator (no install can
+        // The coordinator mutex quiesces the coordinator (no install can
         // run); S locks on every table drain regular DML — a writer
         // holds its locks only for the statement's duration and never
-        // blocks on a shard mutex while holding them, so this cannot
+        // blocks on the coordinator mutex while holding them, so this cannot
         // deadlock. Sorted acquisition mirrors the statement path.
         auto txn = txn_manager_.Begin();
         std::vector<TableInfo> tables = storage_.catalog().ListTables();

@@ -252,10 +252,10 @@ class Youtopia {
   /// the WAL is disabled or the log replayed cleanly.
   const Status& recovery_status() const { return recovery_status_; }
 
-  /// Takes a checkpoint now: quiesces the coordinator (all shard
-  /// mutexes) and regular DML (S locks on every table), snapshots
-  /// tables + pending coordinations, and hands the snapshot to the WAL,
-  /// which truncates the log behind it. InvalidArgument when the WAL is
+  /// Takes a checkpoint now: quiesces the coordinator (its mutex) and
+  /// regular DML (S locks on every table), snapshots tables + pending
+  /// coordinations, and hands the snapshot to the WAL, which truncates
+  /// the log behind it. InvalidArgument when the WAL is
   /// disabled. Also runs automatically once the post-checkpoint log
   /// volume exceeds `wal.checkpoint_bytes`, and from the destructor
   /// when `wal.checkpoint_on_shutdown` is set.

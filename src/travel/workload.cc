@@ -16,10 +16,9 @@ namespace youtopia::travel {
 std::string WorkloadReport::ToString() const {
   std::string out = StringPrintf(
       "submitted=%zu satisfied=%zu timed_out=%zu errors=%zu "
-      "rounds(local=%zu, global=%zu) throughput=%.1f satisfied/s "
-      "latency{%s}",
-      submitted, satisfied, timed_out, errors, shard_rounds, global_rounds,
-      SatisfiedPerSecond(), latency.ToString().c_str());
+      "throughput=%.1f satisfied/s latency{%s}",
+      submitted, satisfied, timed_out, errors, SatisfiedPerSecond(),
+      latency.ToString().c_str());
   if (workers > 0) {
     out += StringPrintf(
         " executor{workers=%zu executed=%zu requeues=%zu peak_queue=%zu "
@@ -166,8 +165,6 @@ Result<WorkloadReport> DriveWorkload(TravelService* service, Youtopia* db,
   ExecutorService* exec = db != nullptr ? &db->executor_service() : nullptr;
   const ExecutorService::Stats exec_before =
       exec != nullptr ? exec->stats() : ExecutorService::Stats{};
-  const CoordinatorStats before =
-      db != nullptr ? db->coordinator().stats() : CoordinatorStats{};
   const PlanCache::Stats cache_before =
       db != nullptr ? db->plan_cache().stats() : PlanCache::Stats{};
   const wal::WalStats wal_before = db != nullptr && db->wal() != nullptr
@@ -246,9 +243,6 @@ Result<WorkloadReport> DriveWorkload(TravelService* service, Youtopia* db,
           .count());
   report.submitted = planned.size();
   if (db != nullptr) {
-    const CoordinatorStats after = db->coordinator().stats();
-    report.shard_rounds = after.shard_rounds - before.shard_rounds;
-    report.global_rounds = after.global_rounds - before.global_rounds;
     const PlanCache::Stats cache_after = db->plan_cache().stats();
     report.plan_cache_hits = cache_after.hits - cache_before.hits;
     report.plan_cache_misses = cache_after.misses - cache_before.misses;

@@ -35,11 +35,6 @@ struct WorkloadReport {
   size_t satisfied = 0;
   size_t timed_out = 0;
   size_t errors = 0;
-  /// Coordinator matching rounds taken during the run: shard-local
-  /// (parallel) versus escalated global (all-shard) rounds. Shows how
-  /// much of the workload the sharded coordinator ran concurrently.
-  size_t shard_rounds = 0;
-  size_t global_rounds = 0;
   /// Executor-service view of the run (pool-driven mode; zeros when the
   /// engine runs inline): pool size, tasks the pool executed for this
   /// run, lock-conflict requeues, the deepest the submission queue got,

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "server/client.h"
-
 namespace youtopia {
 namespace {
 
@@ -36,20 +34,6 @@ TEST(BackoffTest, CapNeverClampsBelowInterval) {
             milliseconds(500));
   EXPECT_EQ(ExponentialBackoff(milliseconds(500), milliseconds(64), 5),
             milliseconds(500));
-}
-
-TEST(BackoffTest, LockRetryPauseIsTheSameSchedule) {
-  // The client's blocking retry loop and the executor service's
-  // conflict requeues must pace identically: LockRetryPause is a thin
-  // wrapper over ExponentialBackoff.
-  ClientOptions options;
-  options.retry_interval = milliseconds(3);
-  options.retry_max_interval = milliseconds(24);
-  for (size_t attempts = 0; attempts < 10; ++attempts) {
-    EXPECT_EQ(LockRetryPause(options, attempts),
-              ExponentialBackoff(options.retry_interval,
-                                 options.retry_max_interval, attempts));
-  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Runtime lock-rank validator coverage (design decision #9): in-order
-// acquisition passes, out-of-order acquisition aborts with the held-lock
-// report, same-rank families require strictly increasing sequence
-// numbers, AssertHeld catches missing locks, and the coordinator's
-// global-round escalation — the deepest real lock stack in the system —
-// runs clean under the validator.
+// acquisition passes, out-of-order and same-rank acquisition abort with
+// the held-lock report, AssertHeld catches missing locks, and a
+// flight+hotel coordination — the deepest real lock stack in the
+// system — runs clean under the validator.
 
 #include "common/mutex.h"
 
@@ -12,7 +11,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "entangle/coordinator.h"
 #include "entangle/normalizer.h"
@@ -40,18 +38,6 @@ TEST(MutexRankTest, InOrderAcquisitionPasses) {
   MutexLock a(outer);
   MutexLock b(middle);
   MutexLock c(inner);
-}
-
-TEST(MutexRankTest, SameRankIncreasingSeqPasses) {
-  // The coordinator's shard-mutex family: equal rank, ordered by shard
-  // index carried as the sequence number.
-  std::vector<std::unique_ptr<Mutex>> shards;
-  for (uint32_t i = 0; i < 4; ++i) {
-    shards.push_back(std::make_unique<Mutex>(LockRank::kCoordinatorShard,
-                                             "shard", i));
-  }
-  std::vector<MovableMutexLock> locks;
-  for (auto& shard : shards) locks.emplace_back(*shard);
 }
 
 TEST(MutexRankTest, UnrankedIsExemptInBothDirections) {
@@ -103,14 +89,14 @@ TEST(MutexRankDeathTest, OutOfOrderAcquisitionAborts) {
       "LOCK RANK VIOLATION");
 }
 
-TEST(MutexRankDeathTest, SameRankNonIncreasingSeqAborts) {
+TEST(MutexRankDeathTest, SameRankTwiceAborts) {
   SKIP_IF_VALIDATOR_OFF();
-  Mutex shard0(LockRank::kCoordinatorShard, "shard", 0);
-  Mutex shard1(LockRank::kCoordinatorShard, "shard", 1);
+  Mutex first(LockRank::kHeapTable, "heap_a");
+  Mutex second(LockRank::kHeapTable, "heap_b");
   EXPECT_DEATH(
       {
-        MutexLock a(shard1);
-        MutexLock b(shard0);
+        MutexLock a(first);
+        MutexLock b(second);
       },
       "LOCK RANK VIOLATION");
 }
@@ -155,9 +141,13 @@ TEST(MutexRankTest, AssertHeldPassesWhenHeld) {
 
 TEST(MutexRankTest, SharedMutexRankChecksApply) {
   SharedMutex tables(LockRank::kStorageTables, "tables");
-  Mutex latch(LockRank::kHeapTable, "latch");
+  // Heap-allocated: std::mutex's destructor is trivial, so TSan forgets
+  // a mutex's lock-order edges only when its memory is freed. On the
+  // stack, `latch` can land where an earlier test's outer mutex was and
+  // read as an inversion.
+  auto latch = std::make_unique<Mutex>(LockRank::kHeapTable, "latch");
   ReaderMutexLock read(tables);
-  MutexLock inner(latch);
+  MutexLock inner(*latch);
   tables.AssertHeld();
 }
 
@@ -192,11 +182,11 @@ TEST(MutexRankTest, CondVarWaitKeepsMutexInHeldSet) {
   waker.join();
 }
 
-// The deepest real acquisition chain: a cross-shard entangled pair
-// forces a global round — every shard mutex in index order, then the
-// install path (install txn -> WAL -> 2PL -> storage), then handle
-// completion. If the rank table mis-ordered any edge, this aborts.
-TEST(MutexRankTest, CoordinatorGlobalRoundEscalationRunsClean) {
+// The deepest real acquisition chain: a flight+hotel pair closes in one
+// round — the coordinator mutex, then the install path (WAL -> 2PL ->
+// storage) across two answer relations, then handle completion. If the
+// rank table mis-ordered any edge, this aborts.
+TEST(MutexRankTest, CoordinatorFlightHotelRoundRunsClean) {
   StorageEngine storage;
   ASSERT_TRUE(storage
                   .CreateTable("Flights",
@@ -207,17 +197,26 @@ TEST(MutexRankTest, CoordinatorGlobalRoundEscalationRunsClean) {
                   .Insert("Flights", Tuple({Value::Int64(100),
                                             Value::String("Paris")}))
                   .ok());
+  ASSERT_TRUE(storage
+                  .CreateTable("Hotels",
+                               Schema({{"hid", DataType::kInt64, false},
+                                       {"city", DataType::kString, false}}))
+                  .ok());
+  ASSERT_TRUE(storage
+                  .Insert("Hotels", Tuple({Value::Int64(7),
+                                           Value::String("Paris")}))
+                  .ok());
   TxnManager txns(&storage);
-  CoordinatorConfig config;
-  config.num_shards = 4;
-  Coordinator coordinator(&storage, &txns, config);
+  Coordinator coordinator(&storage, &txns);
 
-  auto submit = [&](const std::string& head, const std::string& constraint,
-                    const std::string& self, const std::string& other) {
+  auto submit = [&](const std::string& self, const std::string& other) {
     const std::string sql =
-        "SELECT '" + self + "', fno INTO ANSWER " + head +
-        " WHERE fno IN (SELECT fno FROM Flights WHERE dest='Paris') AND ('" +
-        other + "', fno) IN ANSWER " + constraint + " CHOOSE 1";
+        "SELECT '" + self + "', fno INTO ANSWER Reservation, '" + self +
+        "', hid INTO ANSWER HotelReservation WHERE fno IN (SELECT fno FROM "
+        "Flights WHERE dest='Paris') AND hid IN (SELECT hid FROM Hotels "
+        "WHERE city='Paris') AND ('" + other +
+        "', fno) IN ANSWER Reservation AND ('" + other +
+        "', hid) IN ANSWER HotelReservation CHOOSE 1";
     auto stmt = Parser::ParseStatement(sql);
     EXPECT_TRUE(stmt.ok()) << stmt.status();
     auto query = Normalizer::Normalize(
@@ -226,25 +225,10 @@ TEST(MutexRankTest, CoordinatorGlobalRoundEscalationRunsClean) {
     return coordinator.Submit(query.TakeValue());
   };
 
-  // Pick two relations the router places on different shards so the
-  // second submission escalates to a global round.
-  std::string rel_a, rel_b;
-  for (char suffix = 'A'; suffix <= 'Z'; ++suffix) {
-    const std::string relation = std::string("Rel") + suffix;
-    if (rel_a.empty()) {
-      rel_a = relation;
-    } else if (coordinator.ShardOfRelation(relation) !=
-               coordinator.ShardOfRelation(rel_a)) {
-      rel_b = relation;
-      break;
-    }
-  }
-  ASSERT_FALSE(rel_b.empty());
-
-  auto first = submit(rel_a, rel_b, "alice", "bob");
+  auto first = submit("alice", "bob");
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_FALSE(first.value().Done());
-  auto second = submit(rel_b, rel_a, "bob", "alice");
+  auto second = submit("bob", "alice");
   ASSERT_TRUE(second.ok()) << second.status();
   // Reaching here without an abort is the real assertion; matching is a
   // bonus sanity check.

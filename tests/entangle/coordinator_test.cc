@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "entangle/normalizer.h"
 #include "sql/parser.h"
 
@@ -50,6 +53,36 @@ class CoordinatorTest : public ::testing::Test {
     return "SELECT '" + self + "', fno INTO ANSWER Reservation WHERE fno IN "
            "(SELECT fno FROM Flights WHERE dest='Paris') AND ('" + other +
            "', fno) IN ANSWER Reservation CHOOSE 1";
+  }
+
+  /// Pairwise query whose head goes to `head_relation` and whose
+  /// partner constraint reads `constraint_relation`.
+  static std::string CrossQuery(const std::string& head_relation,
+                                const std::string& constraint_relation,
+                                const std::string& self,
+                                const std::string& other,
+                                const std::string& dest = "Paris") {
+    return "SELECT '" + self + "', fno INTO ANSWER " + head_relation +
+           " WHERE fno IN (SELECT fno FROM Flights WHERE dest='" + dest +
+           "') AND ('" + other + "', fno) IN ANSWER " + constraint_relation +
+           " CHOOSE 1";
+  }
+
+  /// One flight to each of City0..City{n-1}.
+  void AddCityFlights(int n) {
+    for (int d = 0; d < n; ++d) {
+      ASSERT_TRUE(
+          storage_
+              .Insert("Flights",
+                      Tuple({Value::Int64(1000 + d),
+                             Value::String("City" + std::to_string(d))}))
+              .ok());
+    }
+  }
+
+  Result<EntangledHandle> Submit(const std::string& sql,
+                                 const std::string& owner) {
+    return coordinator_->Submit(Parse(sql, owner));
   }
 
   StorageEngine storage_;
@@ -517,6 +550,186 @@ TEST_F(CoordinatorTest, SubmitAllEmptyBatchIsTrivial) {
   EXPECT_TRUE(handles->empty());
   EXPECT_EQ(coordinator_->stats().batches, 1u);
   EXPECT_EQ(coordinator_->stats().batched_queries, 0u);
+}
+
+// The paper's flight+hotel pair: each member has two heads on two
+// answer relations and two partner constraints. Submitted together, the
+// whole group closes in the batch's single matching round.
+TEST_F(CoordinatorTest, SubmitAllFlightHotelPairClosesInOneRound) {
+  ASSERT_TRUE(storage_
+                  .CreateTable("Hotels",
+                               Schema({{"hid", DataType::kInt64, false},
+                                       {"city", DataType::kString, false}}))
+                  .ok());
+  ASSERT_TRUE(storage_
+                  .Insert("Hotels", Tuple({Value::Int64(7),
+                                           Value::String("Paris")}))
+                  .ok());
+  auto flight_hotel = [](const std::string& self, const std::string& other) {
+    return "SELECT '" + self + "', fno INTO ANSWER Reservation, '" + self +
+           "', hid INTO ANSWER HotelReservation WHERE fno IN (SELECT fno "
+           "FROM Flights WHERE dest='Paris') AND hid IN (SELECT hid FROM "
+           "Hotels WHERE city='Paris') AND ('" + other +
+           "', fno) IN ANSWER Reservation AND ('" + other +
+           "', hid) IN ANSWER HotelReservation CHOOSE 1";
+  };
+  std::vector<EntangledQuery> batch;
+  batch.push_back(Parse(flight_hotel("Kramer", "Jerry"), "Kramer"));
+  batch.push_back(Parse(flight_hotel("Jerry", "Kramer"), "Jerry"));
+  auto handles = coordinator_->SubmitAll(std::move(batch));
+  ASSERT_TRUE(handles.ok()) << handles.status();
+  ASSERT_EQ(handles->size(), 2u);
+  for (const auto& handle : *handles) {
+    ASSERT_TRUE(handle.Done());
+    EXPECT_TRUE(handle.Outcome()->ok());
+    ASSERT_EQ(handle.Answers().size(), 2u);
+  }
+  const auto kramer = (*handles)[0].Answers();
+  const auto jerry = (*handles)[1].Answers();
+  EXPECT_EQ(kramer[0].at(1), jerry[0].at(1));  // same flight
+  EXPECT_EQ(kramer[1].at(1), Value::Int64(7));  // the only Paris hotel
+  EXPECT_EQ(jerry[1].at(1), Value::Int64(7));
+
+  const CoordinatorStats stats = coordinator_->stats();
+  EXPECT_EQ(stats.shard_rounds, 1u);
+  EXPECT_EQ(stats.global_rounds, 0u);
+  EXPECT_EQ(stats.match_calls, 1u);
+  EXPECT_EQ(stats.matched_groups, 1u);
+  EXPECT_EQ(coordinator_->pending_count(), 0u);
+}
+
+// Relation-name case must not affect matching: the pool indexes and the
+// matcher both normalize with ToLowerAscii.
+TEST_F(CoordinatorTest, MixedCaseRelationsMatchAcrossSpellings) {
+  auto a = Submit(CrossQuery("Reservation", "RESERVATION", "A", "B"), "A");
+  ASSERT_TRUE(a.ok()) << a.status();
+  EXPECT_FALSE(a->Done());
+  auto b = Submit(CrossQuery("reservation", "Reservation", "B", "A"), "B");
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_TRUE(a->Done());
+  EXPECT_TRUE(b->Done());
+  EXPECT_EQ(a->Answers()[0].at(1), b->Answers()[0].at(1));
+}
+
+// Concurrent stress: threads mix single-relation pairs, cross-relation
+// pairs and submit-then-cancel lonely queries, all racing each other.
+// Every pair must close by the time its second half's Submit returns,
+// and the coordinator must end drained with consistent counters. Run
+// under TSan to check the lock protocol.
+TEST_F(CoordinatorTest, ConcurrentMixedWorkloadStress) {
+  constexpr int kThreads = 8;
+  constexpr int kPairsPerThread = 24;
+  constexpr int kNumDests = 64;
+  AddCityFlights(kNumDests);
+  const std::vector<std::string> rels = {"RelA", "RelB", "RelC", "RelD"};
+
+  std::atomic<size_t> mismatches{0};
+  std::atomic<size_t> cancelled{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int p = 0; p < kPairsPerThread; ++p) {
+        const int unit = t * kPairsPerThread + p;
+        const std::string dest = "City" + std::to_string(unit % kNumDests);
+        const std::string a = "A" + std::to_string(unit);
+        const std::string b = "B" + std::to_string(unit);
+        const std::string& rel = rels[t % rels.size()];
+        const std::string& rel2 =
+            p % 6 == 5 ? rels[(t + 1) % rels.size()] : rel;
+        auto first = Submit(CrossQuery(rel, rel2, a, b, dest), a);
+        auto second = Submit(CrossQuery(rel2, rel, b, a, dest), b);
+        if (!first.ok() || !second.ok() || !first->Done() ||
+            !second->Done() || !first->Outcome()->ok()) {
+          mismatches.fetch_add(1);
+        }
+        if (p % 8 == 7) {
+          auto lonely = Submit(
+              CrossQuery(rel, rel, "L" + std::to_string(unit), "nobody",
+                         dest),
+              a);
+          if (lonely.ok() && coordinator_->Cancel(lonely->id()).ok()) {
+            cancelled.fetch_add(1);
+          } else {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(coordinator_->pending_count(), 0u);
+  const CoordinatorStats stats = coordinator_->stats();
+  const size_t pairs = kThreads * kPairsPerThread;
+  EXPECT_EQ(stats.submitted, pairs * 2 + cancelled.load());
+  EXPECT_EQ(stats.matched_queries, pairs * 2);
+  EXPECT_EQ(stats.matched_groups, pairs);
+  EXPECT_EQ(stats.cancelled, cancelled.load());
+  // One matching round per Submit; nothing retriggered.
+  EXPECT_EQ(stats.shard_rounds, stats.submitted);
+  EXPECT_EQ(stats.global_rounds, 0u);
+}
+
+// An install hook that writes one shared row (the travel inventory
+// pattern decrements Flights seats) must see exactly one decrement per
+// installed group while concurrent submitters race: installs run under
+// the coordinator mutex, so they never 2PL-conflict with each other.
+TEST_F(CoordinatorTest, InstallHookOnSharedTableSurvivesConcurrency) {
+  constexpr int kThreads = 4;
+  constexpr int kPairsPerThread = 12;
+  AddCityFlights(8);
+  ASSERT_TRUE(storage_
+                  .CreateTable("Inventory",
+                               Schema({{"remaining", DataType::kInt64,
+                                        false}}))
+                  .ok());
+  auto rid = storage_.Insert("Inventory", Tuple({Value::Int64(100000)}));
+  ASSERT_TRUE(rid.ok());
+  coordinator_->SetInstallHook(
+      [rid = rid.value()](Transaction* txn, TxnManager* txns,
+                          const MatchResult&) -> Status {
+        auto row = txns->Get(txn, "Inventory", rid);
+        if (!row.ok()) return row.status();
+        Tuple updated = row.TakeValue();
+        updated.at(0) = Value::Int64(updated.at(0).int64_value() - 1);
+        return txns->Update(txn, "Inventory", rid, updated);
+      });
+
+  const std::vector<std::string> rels = {"RelA", "RelB", "RelC", "RelD"};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string& rel = rels[t % rels.size()];
+      for (int p = 0; p < kPairsPerThread; ++p) {
+        const int unit = t * kPairsPerThread + p;
+        const std::string dest = "City" + std::to_string(unit % 8);
+        const std::string a = "HA" + std::to_string(unit);
+        const std::string b = "HB" + std::to_string(unit);
+        auto first = Submit(CrossQuery(rel, rel, a, b, dest), a);
+        auto second = Submit(CrossQuery(rel, rel, b, a, dest), b);
+        if (!first.ok() || !second.ok() || !first->Done() ||
+            !second->Done()) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(coordinator_->pending_count(), 0u);
+  const CoordinatorStats stats = coordinator_->stats();
+  EXPECT_EQ(stats.failed_installs, 0u);
+  EXPECT_EQ(stats.matched_groups,
+            static_cast<size_t>(kThreads * kPairsPerThread));
+  // Exactly one decrement per installed group survived the races.
+  auto row = storage_.Get("Inventory", rid.value());
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ(row->at(0).int64_value(), 100000 - kThreads * kPairsPerThread);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// The num_versions = 1 degradation guarantee (design decision #10), in
-// the style of the sharded-coordinator differential test: a randomized
-// mixed workload driven side by side through an MVCC stack and a
+// The num_versions = 1 degradation guarantee (design decision #10): a
+// randomized mixed workload driven side by side through an MVCC stack and a
 // single-version (seed-semantics) stack must produce identical outcomes
 // — statement by statement, status code and result set, and identical
 // final table contents. A concurrent leg then pins the invariant MVCC

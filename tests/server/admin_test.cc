@@ -46,10 +46,8 @@ TEST(AdminTest, SnapshotShowsPendingQueriesAndGraph) {
   EXPECT_NE(rendered.find("head:"), std::string::npos);
 }
 
-TEST(AdminTest, SnapshotReportsPerShardStats) {
-  YoutopiaConfig config;
-  config.coordinator.num_shards = 4;
-  Youtopia db(config);
+TEST(AdminTest, SnapshotReportsMatchingRounds) {
+  Youtopia db;
   ASSERT_TRUE(travel::SetupFigure1(&db).ok());
   ASSERT_TRUE(db.Submit(
                     "SELECT 'Kramer', fno INTO ANSWER Reservation WHERE fno "
@@ -58,22 +56,14 @@ TEST(AdminTest, SnapshotReportsPerShardStats) {
                     "Kramer")
                   .ok());
   auto snapshot = TakeAdminSnapshot(db);
-  ASSERT_EQ(snapshot.shards.size(), 4u);
-  size_t submitted = 0;
-  size_t pending = 0;
-  for (const auto& shard : snapshot.shards) {
-    submitted += shard.stats.submitted;
-    pending += shard.pending;
-  }
-  EXPECT_EQ(submitted, snapshot.stats.submitted);
-  EXPECT_EQ(pending, 1u);
+  // One Submit, one matching round; global_rounds stays 0.
   EXPECT_EQ(snapshot.stats.shard_rounds, 1u);
+  EXPECT_EQ(snapshot.stats.global_rounds, 0u);
+  EXPECT_EQ(snapshot.pending.size(), 1u);
 
   const std::string rendered = snapshot.ToString();
-  EXPECT_NE(rendered.find("Coordinator shards"), std::string::npos);
-  EXPECT_NE(rendered.find("shard 0:"), std::string::npos);
-  EXPECT_NE(rendered.find("shard 3:"), std::string::npos);
-  EXPECT_NE(rendered.find("shard_rounds=1"), std::string::npos);
+  EXPECT_NE(rendered.find("rounds=1 match_calls=1"), std::string::npos);
+  EXPECT_EQ(rendered.find("shard"), std::string::npos);
 }
 
 TEST(AdminTest, EmptySystemSnapshot) {

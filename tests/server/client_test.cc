@@ -5,7 +5,6 @@
 #include <atomic>
 #include <thread>
 
-#include "server/session.h"
 #include "travel/travel_schema.h"
 
 namespace youtopia {
@@ -211,34 +210,6 @@ TEST_F(ClientTest, StatementTimeoutRetriesLockConflicts) {
   holder.join();
 }
 
-TEST_F(ClientTest, LockRetryBackoffDoublesAndNeverSpins) {
-  ClientOptions options;
-  options.retry_interval = milliseconds(2);
-  options.retry_max_interval = milliseconds(16);
-  EXPECT_EQ(LockRetryPause(options, 0), milliseconds(2));
-  EXPECT_EQ(LockRetryPause(options, 1), milliseconds(4));
-  EXPECT_EQ(LockRetryPause(options, 2), milliseconds(8));
-  EXPECT_EQ(LockRetryPause(options, 3), milliseconds(16));
-  // Capped at retry_max_interval from then on.
-  EXPECT_EQ(LockRetryPause(options, 10), milliseconds(16));
-  EXPECT_EQ(LockRetryPause(options, 1000), milliseconds(16));
-
-  // A zero (or negative) retry_interval must not busy-spin the clock:
-  // the schedule floors at 1ms.
-  ClientOptions zero;
-  zero.retry_interval = milliseconds(0);
-  zero.retry_max_interval = milliseconds(0);
-  EXPECT_EQ(LockRetryPause(zero, 0), milliseconds(1));
-  EXPECT_EQ(LockRetryPause(zero, 50), milliseconds(1));
-
-  // An initial interval above retry_max_interval is honored, never
-  // clamped down: the configured pause is the minimum pacing.
-  ClientOptions slow;
-  slow.retry_interval = milliseconds(500);  // > default max of 64ms
-  EXPECT_EQ(LockRetryPause(slow, 0), milliseconds(500));
-  EXPECT_EQ(LockRetryPause(slow, 3), milliseconds(500));
-}
-
 TEST_F(ClientTest, ExecuteAsyncResolvesWithResult) {
   Client client(&db_, Owner("Kramer"));
   auto future = client.ExecuteAsync("SELECT * FROM Flights");
@@ -300,14 +271,55 @@ TEST_F(ClientTest, AsyncSurfaceOverWorkerPool) {
   EXPECT_GE(pooled.executor_service().stats().executed, 16u);
 }
 
-TEST_F(ClientTest, SessionDelegatesThroughClient) {
-  Session session(&db_, "Kramer");
-  ASSERT_TRUE(session.Submit(PairSql("Kramer", "Jerry")).ok());
-  EXPECT_EQ(session.user(), "Kramer");
-  EXPECT_EQ(session.client().owner(), "Kramer");
-  auto pending = db_.coordinator().Pending();
-  ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0].owner, "Kramer");
+TEST_F(ClientTest, OutstandingPrunesCompleted) {
+  Client kramer(&db_, Owner("Kramer"));
+  Client jerry(&db_, Owner("Jerry"));
+  ASSERT_TRUE(kramer.Submit(PairSql("Kramer", "Jerry")).ok());
+  EXPECT_EQ(kramer.Outstanding().size(), 1u);
+  ASSERT_TRUE(jerry.Submit(PairSql("Jerry", "Kramer")).ok());
+  EXPECT_TRUE(kramer.Outstanding().empty());
+  EXPECT_TRUE(jerry.Outstanding().empty());
+}
+
+TEST_F(ClientTest, RunTracksOnlyPendingEntangled) {
+  Client solo(&db_, Owner("Solo"));
+  auto direct = solo.Run(
+      "SELECT 'Solo', fno INTO ANSWER Reservation WHERE fno IN "
+      "(SELECT fno FROM Flights WHERE dest='Rome') CHOOSE 1");
+  ASSERT_TRUE(direct.ok());
+  EXPECT_TRUE(direct->handle->Done());
+  EXPECT_TRUE(solo.Outstanding().empty());
+
+  auto waiting = solo.Run(PairSql("Solo", "Ghost"));
+  ASSERT_TRUE(waiting.ok());
+  EXPECT_EQ(solo.Outstanding().size(), 1u);
+}
+
+TEST_F(ClientTest, WaitForAllSucceedsWhenCoordinated) {
+  Client kramer(&db_, Owner("Kramer"));
+  Client jerry(&db_, Owner("Jerry"));
+  ASSERT_TRUE(kramer.Submit(PairSql("Kramer", "Jerry")).ok());
+  ASSERT_TRUE(jerry.Submit(PairSql("Jerry", "Kramer")).ok());
+  EXPECT_TRUE(kramer.WaitForAll(milliseconds(100)).ok());
+  EXPECT_TRUE(jerry.WaitForAll(milliseconds(100)).ok());
+}
+
+TEST_F(ClientTest, TwoClientsCoordinateAcrossThreads) {
+  Client kramer(&db_, Owner("Kramer"));
+  Client jerry(&db_, Owner("Jerry"));
+  std::thread t1([&kramer] {
+    auto h = kramer.Submit(ClientTest::PairSql("Kramer", "Jerry"));
+    ASSERT_TRUE(h.ok());
+    EXPECT_TRUE(h->Wait(milliseconds(5000)).ok());
+  });
+  std::thread t2([&jerry] {
+    auto h = jerry.Submit(ClientTest::PairSql("Jerry", "Kramer"));
+    ASSERT_TRUE(h.ok());
+    EXPECT_TRUE(h->Wait(milliseconds(5000)).ok());
+  });
+  t1.join();
+  t2.join();
+  EXPECT_EQ(db_.Execute("SELECT * FROM Reservation")->rows.size(), 2u);
 }
 
 }  // namespace

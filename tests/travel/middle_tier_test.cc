@@ -367,12 +367,10 @@ TEST_F(MiddleTierTest, AdjacentSeatEndToEnd) {
 }
 
 // The whole application tier — pair booking, flight+hotel coordination
-// (a multi-relation query that may cross shards), and callback-driven
-// expiry notification — runs unchanged over a sharded coordinator.
-TEST(ShardedMiddleTierTest, TravelFlowsUnchangedOnShardedCoordinator) {
-  YoutopiaConfig config;
-  config.coordinator.num_shards = 8;
-  Youtopia db(config);
+// (a query with heads on two answer relations), and callback-driven
+// expiry notification — in one flow on one engine.
+TEST(TravelFlowTest, PairHotelAndExpiryFlowsEndToEnd) {
+  Youtopia db;
   ASSERT_TRUE(SetupFigure1(&db).ok());
   ASSERT_TRUE(db.ExecuteScript(
                     "CREATE TABLE Hotels (hid INT NOT NULL, city TEXT NOT "
