@@ -12,16 +12,21 @@
 //       as one statement, and unparses identically to part.stmt — the
 //       offset-slicing contract the per-step plan cache keys on.
 //   P4  ParseScript and ParseScriptParts agree on statement count.
+//   P5  ParseStatement(s) and ParseStatement(PlanCache::NormalizeKey(s))
+//       agree on accept, and unparse identically when both accept — so
+//       texts sharing a plan-cache key never name different statements.
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "fuzz_util.h"
+#include "server/plan_cache.h"
 #include "sql/parser.h"
 #include "sql/unparser.h"
 
 using youtopia::Parser;
+using youtopia::PlanCache;
 using youtopia::StatementToSql;
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -34,6 +39,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     FUZZ_ASSERT(again.ok(), "P2: unparsed accepted statement must reparse");
     FUZZ_ASSERT(StatementToSql(**again) == text,
                 "P2: unparse/reparse must reach a fixpoint");
+  }
+
+  auto keyed = Parser::ParseStatement(PlanCache::NormalizeKey(sql));
+  FUZZ_ASSERT(keyed.ok() == stmt.ok(),
+              "P5: a text and its plan-cache key must agree on accept");
+  if (stmt.ok()) {
+    FUZZ_ASSERT(StatementToSql(**keyed) == StatementToSql(**stmt),
+                "P5: a text and its plan-cache key must parse alike");
   }
 
   auto parts = Parser::ParseScriptParts(sql);

@@ -73,6 +73,9 @@ const char* kSqlSeeds[] = {
     "SELECT 'a;b' ; -- tail",
     // Numeric edges the lexer special-cases.
     "SELECT 9223372036854775807, 1.5e-300, 0.0001, 1e5 FROM t",
+    // A '--' comment ends at the newline, so the WHERE is live (the
+    // plan-cache key must not fold it into the comment).
+    "UPDATE t SET y = 0 -- it's a comment\nWHERE x = 1;",
 };
 
 void EmitParserSeeds(const fs::path& out) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 
 #include "entangle/coordinator.h"
 #include "server/plan_cache.h"
@@ -90,6 +91,20 @@ void AppendEngineMetrics(const Youtopia& db, std::string* out) {
                static_cast<double>(plans.invalidations), out);
   AppendMetric("youtopia_plan_cache_size", "gauge",
                static_cast<double>(plans.size), out);
+
+  // Process memory, from Linux's /proc/self/status: resident now, and
+  // the peak (VmHWM), which is what perfbench reports as server_rss_mb.
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    long long kib = 0;
+    if (std::sscanf(line.c_str(), "VmRSS: %lld kB", &kib) == 1) {
+      AppendMetric("process_resident_memory_bytes", "gauge",
+                   static_cast<double>(kib) * 1024, out);
+    } else if (std::sscanf(line.c_str(), "VmHWM: %lld kB", &kib) == 1) {
+      AppendMetric("youtopia_process_peak_resident_bytes", "gauge",
+                   static_cast<double>(kib) * 1024, out);
+    }
+  }
 
   AppendMetric("youtopia_wal_enabled", "gauge", db.wal() ? 1 : 0, out);
   if (db.wal() != nullptr) {

@@ -10,10 +10,11 @@ namespace youtopia {
 /// Appends the engine's counters to `out` in Prometheus text-exposition
 /// format (`# TYPE` lines plus `name value`): executor-service queue
 /// depth and shed/rejected counts, coordinator counters, plan-cache
-/// hit/miss/eviction counts, WAL append/fsync/checkpoint counts, and
-/// MVCC state. This is the admin snapshot made machine-readable — the
-/// net layer adds its own request/latency series on top and serves the
-/// whole page through the metrics endpoint.
+/// hit/miss/eviction counts, process resident memory (current and
+/// peak, where /proc/self/status exists), WAL append/fsync/checkpoint
+/// counts, and MVCC state. This is the admin snapshot made
+/// machine-readable — the net layer adds its own request/latency series
+/// on top and serves the whole page through the metrics endpoint.
 void AppendEngineMetrics(const Youtopia& db, std::string* out);
 
 /// One "# TYPE" header plus one sample, e.g.

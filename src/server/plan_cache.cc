@@ -1,5 +1,7 @@
 #include "server/plan_cache.h"
 
+#include "sql/ast.h"
+
 namespace youtopia {
 
 PreparedStatementPtr PlanCache::Lookup(const std::string& key,
@@ -107,6 +109,14 @@ std::string PlanCache::NormalizeKey(std::string_view sql) {
       pending_space = !out.empty();
       continue;
     }
+    if (c == '-' && i + 1 < sql.size() && sql[i + 1] == '-') {
+      // A comment separates tokens like whitespace. It must end where
+      // the lexer ends it, at '\n': collapsing the newline into the
+      // comment would fold the next line's text into the key.
+      while (i + 1 < sql.size() && sql[i + 1] != '\n') ++i;
+      pending_space = !out.empty();
+      continue;
+    }
     if (pending_space) {
       out.push_back(' ');
       pending_space = false;
@@ -114,10 +124,25 @@ std::string PlanCache::NormalizeKey(std::string_view sql) {
     out.push_back(c);
     if (c == '\'') in_string = true;
   }
-  // One statement-terminating ';' is syntax-neutral for ParseStatement.
-  if (!out.empty() && out.back() == ';') out.pop_back();
-  while (!out.empty() && out.back() == ' ') out.pop_back();
+  // One statement-terminating ';' is syntax-neutral for ParseStatement,
+  // but only one: "X;;" fails to parse, so its key keeps both.
+  if (!out.empty() && out.back() == ';') {
+    size_t end = out.size() - 1;
+    while (end > 0 && out[end - 1] == ' ') --end;
+    if (end == 0 || out[end - 1] != ';') out.resize(end);
+  }
   return out;
+}
+
+bool PlanCache::Cacheable(const Statement& stmt) {
+  switch (stmt.kind) {
+    case StatementKind::kInsert:
+      return static_cast<const InsertStatement&>(stmt).rows.size() <= 1;
+    case StatementKind::kSelect:
+      return !static_cast<const SelectStatement&>(stmt).IsEntangled();
+    default:
+      return true;
+  }
 }
 
 }  // namespace youtopia

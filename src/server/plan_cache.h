@@ -15,6 +15,7 @@ namespace youtopia {
 
 class Catalog;
 struct PreparedStatement;
+struct Statement;
 
 /// True iff every table-version stamp `prepared` recorded when planning
 /// started still matches the live catalog — the plan's bindings and
@@ -106,13 +107,23 @@ class PlanCache {
   Stats stats() const;
   size_t size() const;
 
-  /// The cache key for a SQL text: ASCII whitespace runs collapsed to
-  /// one space (single-quoted literals preserved verbatim), ends
-  /// trimmed, one trailing ';' dropped. Cheaper than lexing — the key
-  /// must cost less than the parse it saves — so keyword case is NOT
-  /// folded: 'select 1' and 'SELECT 1' are distinct entries, which
-  /// costs a duplicate slot, never a wrong answer.
+  /// The cache key for a SQL text: ASCII whitespace runs and `--`
+  /// comments (up to the newline, where the lexer ends them) collapsed
+  /// to one space, single-quoted literals preserved verbatim, ends
+  /// trimmed, one trailing ';' dropped. A text and its key parse to the
+  /// same statement or both fail to parse, so equal keys never name
+  /// different statements. Cheaper than lexing — the key must cost less
+  /// than the parse it saves — so keyword case is NOT folded: 'select 1'
+  /// and 'SELECT 1' are distinct entries, which costs a duplicate slot,
+  /// never a wrong answer.
   static std::string NormalizeKey(std::string_view sql);
+
+  /// The admission rule: true iff the text of `stmt` can recur, so a
+  /// cached plan for it can be hit again. Rejects a multi-row INSERT
+  /// (its VALUES list is data, and the entry grows with it) and an
+  /// entangled SELECT (it embeds its participants' names, and plans
+  /// nothing). Both prepare sites consult it before inserting.
+  static bool Cacheable(const Statement& stmt);
 
  private:
   struct Entry {

@@ -350,7 +350,7 @@ Result<PreparedStatementPtr> Youtopia::PrepareParsed(StatementPtr stmt,
 
 Result<PreparedStatementPtr> Youtopia::PrepareParsedCached(
     StatementPtr stmt, std::string text) const {
-  if (!plan_cache_.enabled()) {
+  if (!plan_cache_.enabled() || !PlanCache::Cacheable(*stmt)) {
     return PrepareParsed(std::move(stmt), std::move(text));
   }
   const std::string key = PlanCache::NormalizeKey(text);
@@ -374,8 +374,9 @@ Result<PreparedStatementPtr> Youtopia::Prepare(const std::string& sql) const {
   }
   auto stmt = Parser::ParseStatement(sql);
   if (!stmt.ok()) return stmt.status();
+  const bool cacheable = PlanCache::Cacheable(**stmt);
   auto prepared = PrepareParsed(std::move(stmt.value()), sql);
-  if (plan_cache_.enabled() && prepared.ok()) {
+  if (plan_cache_.enabled() && cacheable && prepared.ok()) {
     plan_cache_.Insert(key, *prepared);
   }
   return prepared;

@@ -183,8 +183,9 @@ class Youtopia {
   /// cached immutable plan without touching the parser or planner; a
   /// miss builds the AST, collects the lock footprint, routes the
   /// statement (regular vs entangled), builds the physical plan for
-  /// regular SELECTs, and caches the result. Reads the catalog (schema
-  /// bindings, index choices) but takes no table locks.
+  /// regular SELECTs, and caches the result if PlanCache::Cacheable
+  /// admits it. Reads the catalog (schema bindings, index choices) but
+  /// takes no table locks.
   Result<PreparedStatementPtr> Prepare(const std::string& sql) const;
 
   /// The plan stage alone, for an already-parsed statement: lock
@@ -195,7 +196,8 @@ class Youtopia {
                                              std::string sql) const;
 
   /// PrepareParsed through the cache: keyed on `text` (one statement's
-  /// own source, not a whole script). What the per-step script prepare
+  /// own source, not a whole script); a statement PlanCache::Cacheable
+  /// rejects bypasses it. What the per-step script prepare
   /// uses — the AST is already parsed, so only the plan stage is saved,
   /// but scripts replaying hot statements share plans with every other
   /// surface.

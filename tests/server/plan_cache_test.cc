@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "server/admin.h"
 #include "server/youtopia.h"
+#include "sql/parser.h"
+#include "sql/unparser.h"
+#include "travel/data_generator.h"
+#include "travel/travel_schema.h"
 
 namespace youtopia {
 namespace {
@@ -27,6 +37,63 @@ TEST(PlanCacheKeyTest, CollapsesWhitespaceOutsideLiterals) {
   // Keyword case is NOT folded (the key must stay cheaper than a lex).
   EXPECT_NE(PlanCache::NormalizeKey("select x from t"),
             PlanCache::NormalizeKey("SELECT x FROM t"));
+}
+
+TEST(PlanCacheKeyTest, CommentEndsAtTheNewline) {
+  EXPECT_EQ(PlanCache::NormalizeKey("SELECT x FROM t -- c\nWHERE x = 1"),
+            "SELECT x FROM t WHERE x = 1");
+  EXPECT_EQ(PlanCache::NormalizeKey("SELECT x FROM t -- c WHERE x = 1"),
+            "SELECT x FROM t");
+  // A quote inside a comment opens no literal; '--' inside a literal is
+  // text.
+  EXPECT_EQ(PlanCache::NormalizeKey("SELECT x -- it's\nFROM t"),
+            "SELECT x FROM t");
+  EXPECT_EQ(PlanCache::NormalizeKey("SELECT '--  x' FROM t"),
+            "SELECT '--  x' FROM t");
+  // "X;;" does not parse, so its key keeps both terminators.
+  EXPECT_EQ(PlanCache::NormalizeKey("SELECT x FROM t;;"), "SELECT x FROM t;;");
+}
+
+// fuzz_parser's P5, replayed deterministically: a text and its key are
+// accepted or rejected together, and an accepted pair parses to the same
+// statement — so two texts with one key never name different statements.
+void ExpectKeyParsesLikeText(const std::string& sql) {
+  auto text = Parser::ParseStatement(sql);
+  auto key = Parser::ParseStatement(PlanCache::NormalizeKey(sql));
+  ASSERT_EQ(text.ok(), key.ok()) << sql;
+  if (text.ok()) {
+    EXPECT_EQ(StatementToSql(**text), StatementToSql(**key)) << sql;
+  }
+}
+
+TEST(PlanCacheKeyTest, KeyParsesLikeItsText) {
+  for (const char* sql : {
+           "SELECT x FROM t -- c\nWHERE x = 1",
+           "UPDATE t SET y = 0 -- c\nWHERE x = 1",
+           "SELECT x -- it's\nFROM t WHERE s = 'a -- b'",
+           "SELECT x FROM t --",
+           "SELECT x FROM t -- c\r\nWHERE x = 1",
+           "SELECT 'a  b', 'it''s' FROM t",
+           "SELECT 'unterminated ;",
+           "SELECT 1;",
+           "SELECT 1 ; -- done",
+           "SELECT 1;;",
+           "SELECT 1; ;",
+           ";",
+           "",
+       }) {
+    ExpectKeyParsesLikeText(sql);
+  }
+  size_t seeds = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           YOUTOPIA_SOURCE_DIR "/fuzz/corpus/fuzz_parser")) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    ExpectKeyParsesLikeText(bytes.str());
+    ++seeds;
+  }
+  EXPECT_GE(seeds, 16u);
 }
 
 TEST(PlanCacheTest, HitReturnsTheSameSharedPlan) {
@@ -253,6 +320,110 @@ TEST(PlanCacheTest, ScriptStepsPopulateTheSharedCache) {
   ASSERT_TRUE(db.ExecuteScript(script).ok());
   const PlanCache::Stats after_second = db.plan_cache().stats();
   EXPECT_GE(after_second.hits, after_first.hits + 2);
+}
+
+TEST(PlanCacheTest, CommentedOutWhereDoesNotShareTheFilteredSelectsPlan) {
+  Youtopia db;
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (x INT);"
+                               "INSERT INTO t VALUES (1), (2), (3);")
+                  .ok());
+  auto all = db.Execute("SELECT x FROM t -- c WHERE x = 1");
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all->rows.size(), 3u);
+  auto one = db.Execute("SELECT x FROM t -- c\nWHERE x = 1");
+  ASSERT_TRUE(one.ok()) << one.status();
+  EXPECT_EQ(one->rows.size(), 1u);
+}
+
+TEST(PlanCacheTest, CommentedOutWhereDoesNotShareTheFilteredUpdatesPlan) {
+  Youtopia db;
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (x INT, y INT);"
+                               "INSERT INTO t VALUES (1, 0), (2, 0), (3, 0);")
+                  .ok());
+  auto all = db.Execute("UPDATE t SET y = y + 1 -- c WHERE x = 1");
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all->affected_rows, 3u);
+  auto one = db.Execute("UPDATE t SET y = y + 1 -- c\nWHERE x = 1");
+  ASSERT_TRUE(one.ok()) << one.status();
+  EXPECT_EQ(one->affected_rows, 1u);
+  auto untouched = db.Execute("SELECT y FROM t WHERE x = 2");
+  ASSERT_TRUE(untouched.ok());
+  ASSERT_EQ(untouched->rows.size(), 1u);
+  EXPECT_EQ(untouched->rows[0].at(0).int64_value(), 1);
+}
+
+TEST(PlanCacheAdmissionTest, MultiRowInsertRunsButIsNotCached) {
+  Youtopia db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (x INT)").ok());
+  const PlanCache::Stats before = db.plan_cache().stats();
+  const std::string bulk = "INSERT INTO t VALUES (1), (2)";
+  ASSERT_TRUE(db.Execute(bulk).ok());
+  EXPECT_EQ(db.plan_cache().stats().size, before.size);
+  // The repeat misses again: nothing was kept for it.
+  ASSERT_TRUE(db.Execute(bulk).ok());
+  const PlanCache::Stats after = db.plan_cache().stats();
+  EXPECT_EQ(after.size, before.size);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses + 2);
+  auto rows = db.Execute("SELECT x FROM t");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->rows.size(), 4u);
+}
+
+TEST(PlanCacheAdmissionTest, EntangledQueriesAreNotCached) {
+  Youtopia db;
+  ASSERT_TRUE(travel::SetupFigure1(&db).ok());
+  const size_t size = db.plan_cache().stats().size;
+  auto kramer = db.Submit(
+      "SELECT 'Kramer', fno INTO ANSWER Reservation WHERE fno IN "
+      "(SELECT fno FROM Flights WHERE dest='Paris') AND "
+      "('Jerry', fno) IN ANSWER Reservation CHOOSE 1",
+      "Kramer");
+  ASSERT_TRUE(kramer.ok()) << kramer.status();
+  EXPECT_EQ(db.plan_cache().stats().size, size);
+  auto solo = db.Run(
+      "SELECT 'Solo', fno INTO ANSWER Reservation WHERE fno IN "
+      "(SELECT fno FROM Flights WHERE dest='Rome') CHOOSE 1",
+      "Solo");
+  ASSERT_TRUE(solo.ok()) << solo.status();
+  EXPECT_TRUE(solo->entangled);
+  EXPECT_EQ(db.plan_cache().stats().size, size);
+}
+
+TEST(PlanCacheAdmissionTest, RecurringStatementsStillHit) {
+  Youtopia db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (x INT)").ok());
+  for (const char* sql :
+       {"INSERT INTO t VALUES (1)", "UPDATE t SET x = 2 WHERE x = 1",
+        "SELECT x FROM t WHERE x = 2", "DELETE FROM t WHERE x = 3"}) {
+    auto first = db.Prepare(sql);
+    auto second = db.Prepare(sql);
+    ASSERT_TRUE(first.ok()) << sql;
+    ASSERT_TRUE(second.ok()) << sql;
+    EXPECT_EQ(first->get(), second->get()) << sql;
+  }
+}
+
+TEST(PlanCacheAdmissionTest, ScriptCachesOnlyItsRecurringSteps) {
+  Youtopia db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (x INT)").ok());
+  const size_t size = db.plan_cache().stats().size;
+  ASSERT_TRUE(db.ExecuteScript("INSERT INTO t VALUES (1), (2), (3);"
+                               "UPDATE t SET x = 4 WHERE x = 3;"
+                               "SELECT x FROM t;")
+                  .ok());
+  EXPECT_EQ(db.plan_cache().stats().size, size + 2);
+}
+
+TEST(PlanCacheAdmissionTest, BulkLoadLeavesNoInsertEntries) {
+  Youtopia db;
+  ASSERT_TRUE(travel::CreateTravelSchema(&db).ok());
+  const size_t size = db.plan_cache().stats().size;
+  auto generated = travel::GenerateTravelData(&db, {});
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  // Several 128-row statements per table, all of them INSERTs.
+  EXPECT_GT(generated->seats, 1000u);
+  EXPECT_EQ(db.plan_cache().stats().size, size);
 }
 
 TEST(PlanCacheTest, AdminSnapshotRendersCacheCounters) {
