@@ -1,19 +1,17 @@
 // Experiment MVCC (DESIGN.md decision #10): browse throughput of the
-// lock-free snapshot SELECT path versus the seed's 2PL read path, under
-// a sweep of concurrent writers shaped like the travel mix's bookings:
-// multi-row transactions that hold their exclusive table locks across a
-// coordination window (an entangled booking parked mid-round) before
-// committing. That idle-held X lock is exactly what the paper's browse
-// traffic stalls behind: with num_versions = 1 the stack degrades to
-// seed 2PL semantics and every browse queues until the writer commits;
-// with num_versions > 1 the same SELECTs read a snapshot and never
-// block.
+// lock-free snapshot SELECT path under a sweep of concurrent writers
+// shaped like the travel mix's bookings: multi-row transactions that
+// hold their exclusive table locks across a coordination window (an
+// entangled booking parked mid-round) before committing. Under 2PL
+// reads every browse would queue behind that idle-held X lock; snapshot
+// SELECTs never block on it, so browsing should keep most of its
+// uncontended rate as writers are added.
 //
 // Standalone driver (no google-benchmark) so it can emit its own
 // machine-readable summary: BENCH_mvcc.json (path overridable via
-// argv[1]), including the headline mvcc_vs_2pl_browse_speedup the
-// acceptance criterion gates at >= 2x on the most contended leg
-// (writers = 4).
+// argv[1]), including the headline mvcc_browse_4w_over_0w — browse
+// throughput at 4 writers over browse throughput at 0 writers. The
+// program exits non-zero when it falls below kMinBrowseRetention.
 //
 // Usage: bench_mvcc [output.json] [leg_ms] [rows]
 
@@ -33,17 +31,20 @@ namespace {
 using namespace youtopia;  // NOLINT(build/namespaces) — bench driver
 
 constexpr int kReaders = 4;
-constexpr size_t kMvccVersions = 8;
 // Each write transaction touches a handful of rows and then holds its
 // locks across a simulated coordination round before committing — the
 // entangled-booking shape (install happens only once the whole group
 // matches, with the 2PL locks held throughout the wait).
 constexpr int kRowsPerWriteTxn = 8;
 constexpr int kHoldUs = 10000;
+// Floor on mvcc_browse_4w_over_0w: about half the smallest of five
+// runs on a 4-core host (0.76-1.15). Browses that queued behind the
+// writers' held locks would keep a small fraction of their rate (2PL
+// reads kept 0.17 on a 1-core host and under 0.003 on the 4-core one).
+constexpr double kMinBrowseRetention = 0.35;
 
 struct LegResult {
-  const char* mode = "";
-  size_t num_versions = 1;
+  size_t num_versions = 0;
   size_t writers = 0;
   size_t reads = 0;
   size_t read_errors = 0;
@@ -53,10 +54,8 @@ struct LegResult {
   double updates_per_sec = 0.0;
 };
 
-std::unique_ptr<Youtopia> MakeDb(size_t num_versions, int rows) {
-  YoutopiaConfig config;
-  config.mvcc.num_versions = num_versions;
-  auto db = std::make_unique<Youtopia>(config);
+std::unique_ptr<Youtopia> MakeDb(int rows) {
+  auto db = std::make_unique<Youtopia>();
   if (!db->Execute("CREATE TABLE Inv (id INT, qty INT, price INT)").ok()) {
     std::abort();
   }
@@ -75,13 +74,11 @@ std::unique_ptr<Youtopia> MakeDb(size_t num_versions, int rows) {
 /// One fixed-duration leg: kReaders browse threads and `writers`
 /// booking-shaped write transactions (kRowsPerWriteTxn updates, then
 /// kHoldUs of lock-held coordination wait, then commit) against a fresh
-/// instance configured with `num_versions`. Reads that fail (lock
-/// timeouts under 2PL) count as errors, not throughput — the metric is
-/// *successful* browses per second, which is what a middle tier
-/// actually serves.
-LegResult RunLeg(size_t num_versions, size_t writers,
-                 std::chrono::milliseconds leg, int rows) {
-  auto db = MakeDb(num_versions, rows);
+/// instance. Reads that fail count as errors, not throughput — the
+/// metric is *successful* browses per second, which is what a middle
+/// tier actually serves.
+LegResult RunLeg(size_t writers, std::chrono::milliseconds leg, int rows) {
+  auto db = MakeDb(rows);
   std::atomic<bool> stop{false};
   std::atomic<size_t> reads{0};
   std::atomic<size_t> read_errors{0};
@@ -92,8 +89,8 @@ LegResult RunLeg(size_t num_versions, size_t writers,
     threads.emplace_back([&, r] {
       // Indexed point browses across the table: each statement's
       // in-engine time is tiny, so what the sweep measures is how long
-      // a browse waits behind the writers' held X locks (2PL) versus
-      // not at all (MVCC snapshots).
+      // a browse is slowed by the writers, whose held X locks a
+      // snapshot read never waits for.
       size_t n = static_cast<size_t>(r);
       while (!stop.load(std::memory_order_acquire)) {
         const int64_t id =
@@ -149,8 +146,7 @@ LegResult RunLeg(size_t num_versions, size_t writers,
           .count());
 
   LegResult result;
-  result.mode = num_versions > 1 ? "mvcc" : "2pl";
-  result.num_versions = num_versions;
+  result.num_versions = db->storage().num_versions();
   result.writers = writers;
   result.reads = reads.load();
   result.read_errors = read_errors.load();
@@ -172,40 +168,29 @@ int main(int argc, char** argv) {
 
   const size_t writer_sweep[] = {0, 1, 2, 4};
   std::vector<LegResult> legs;
-  std::printf("%-6s %-10s %-8s %-9s %-12s %-9s %s\n", "mode", "versions",
-              "writers", "reads", "reads/s", "rd_errs", "write_txns/s");
+  std::printf("%-10s %-8s %-9s %-12s %-9s %s\n", "versions", "writers",
+              "reads", "reads/s", "rd_errs", "write_txns/s");
   for (size_t writers : writer_sweep) {
-    for (size_t num_versions : {size_t{1}, kMvccVersions}) {
-      LegResult leg = RunLeg(num_versions, writers,
-                             std::chrono::milliseconds(leg_ms), rows);
-      std::printf("%-6s %-10zu %-8zu %-9zu %-12.1f %-9zu %.1f\n", leg.mode,
-                  leg.num_versions, leg.writers, leg.reads, leg.reads_per_sec,
-                  leg.read_errors, leg.updates_per_sec);
-      legs.push_back(leg);
-    }
+    LegResult leg = RunLeg(writers, std::chrono::milliseconds(leg_ms), rows);
+    std::printf("%-10zu %-8zu %-9zu %-12.1f %-9zu %.1f\n", leg.num_versions,
+                leg.writers, leg.reads, leg.reads_per_sec, leg.read_errors,
+                leg.updates_per_sec);
+    legs.push_back(leg);
   }
 
-  // Headline: MVCC vs 2PL successful-browse throughput on the same,
-  // most contended leg (writers = 4). The acceptance floor is 2x; if
-  // the 2PL side is fully starved the ratio is reported as a large
-  // sentinel rather than a divide-by-zero.
+  // Headline: successful-browse throughput on the most contended leg
+  // (writers = 4) over the uncontended one (writers = 0).
   const size_t headline_writers = writer_sweep[3];
-  double two_pl = 0.0, mvcc = 0.0, mvcc_uncontended = 0.0;
-  for (const LegResult& leg : legs) {
-    if (leg.writers == headline_writers && leg.num_versions == 1) {
-      two_pl = leg.reads_per_sec;
-    }
-    if (leg.writers == headline_writers && leg.num_versions > 1) {
-      mvcc = leg.reads_per_sec;
-    }
-    if (leg.writers == 0 && leg.num_versions > 1) {
-      mvcc_uncontended = leg.reads_per_sec;
-    }
+  const double uncontended = legs.front().reads_per_sec;
+  const double contended = legs.back().reads_per_sec;
+  const double retention = uncontended > 0.0 ? contended / uncontended : 0.0;
+  std::printf("browse retention (%zu writers over 0, %d readers): %.3f\n",
+              headline_writers, kReaders, retention);
+  const bool ok = retention >= kMinBrowseRetention;
+  if (!ok) {
+    std::fprintf(stderr, "FAIL: browse retention %.3f below the %.2f floor\n",
+                 retention, kMinBrowseRetention);
   }
-  const double speedup =
-      two_pl > 0.0 ? mvcc / two_pl : (mvcc > 0.0 ? 999.0 : 0.0);
-  std::printf("browse speedup (mvcc vs 2pl, %zu writers, %d readers): %.2fx\n",
-              headline_writers, kReaders, speedup);
 
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -223,11 +208,11 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < legs.size(); ++i) {
     const LegResult& leg = legs[i];
     std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"num_versions\": %zu, "
+                 "    {\"num_versions\": %zu, "
                  "\"writers\": %zu, \"reads\": %zu, \"read_errors\": %zu, "
                  "\"reads_per_sec\": %.1f, \"write_txns\": %zu, "
                  "\"write_txns_per_sec\": %.1f, \"wall_ms\": %.1f}%s\n",
-                 leg.mode, leg.num_versions, leg.writers, leg.reads,
+                 leg.num_versions, leg.writers, leg.reads,
                  leg.read_errors, leg.reads_per_sec, leg.updates,
                  leg.updates_per_sec, leg.wall_ms,
                  i + 1 < legs.size() ? "," : "");
@@ -238,10 +223,10 @@ int main(int argc, char** argv) {
                "  \"headline_writers\": %zu,\n"
                "  \"mvcc_browse_reads_per_sec\": %.1f,\n"
                "  \"mvcc_uncontended_reads_per_sec\": %.1f,\n"
-               "  \"mvcc_vs_2pl_browse_speedup\": %.3f\n}\n",
-               std::thread::hardware_concurrency(), headline_writers, mvcc,
-               mvcc_uncontended, speedup);
+               "  \"mvcc_browse_4w_over_0w\": %.3f\n}\n",
+               std::thread::hardware_concurrency(), headline_writers,
+               contended, uncontended, retention);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
-  return speedup >= 2.0 ? 0 : 1;
+  return ok ? 0 : 1;
 }

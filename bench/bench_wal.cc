@@ -1,34 +1,30 @@
-// Experiment WAL (DESIGN.md decision #8): what group commit buys over
-// the classic one-fsync-per-commit write-ahead log, and what durability
-// costs at all relative to the in-memory seed.
+// Experiment WAL (DESIGN.md decision #8): what durability costs
+// relative to the in-memory engine, and how many records group commit
+// puts behind each fsync.
 //
 // Setup: N concurrent sessions, each inserting into its OWN table so
 // 2PL never serializes them — the commits genuinely overlap, which is
 // the case group commit exists for (concurrently-committing workers
-// share one fsync). Three modes, each at 1 and N sessions:
-//   off        wal.enabled = false (the seed; the durability overhead
-//              baseline)
-//   percommit  wal.enabled, group_commit = false: every append writes
-//              and fsyncs inline — one fsync per commit
-//   group      wal.enabled, group_commit = true: appends buffer, the
-//              sync leader flushes everyone's records with one fsync
+// share one fsync). Two modes, each at 1 and N sessions:
+//   off    wal.enabled = false (the durability overhead baseline)
+//   group  wal.enabled: appends buffer, the sync leader flushes
+//          everyone's records with one fsync
 //
 // Also measures the raw fsync latency of the bench directory's
-// filesystem, since the whole experiment is about amortizing exactly
-// that cost.
+// filesystem, since group commit exists to amortize exactly that cost.
 //
 // Standalone driver (no google-benchmark) so it can emit its own
 // machine-readable summary: BENCH_wal.json (path overridable via
 // argv[1]) — what CI's regression gate and artifact trail consume. The
-// acceptance criterion pins group commit >= 3x the per-commit-fsync
-// throughput at 8 concurrent sessions; exits non-zero below the bar.
+// headline group_8s_records_per_fsync is the log records the N-session
+// group leg wrote per fsync; a log that fsynced every record would read
+// 1. Exits non-zero below kMinRecordsPerFsync.
 //
 // Usage: bench_wal [output.json] [commits_per_session] [sessions]
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -45,8 +41,16 @@ namespace {
 using namespace youtopia;  // NOLINT(build/namespaces) — bench driver
 
 const char* kBenchDir = "bench_wal_data";
+// Floor on group_8s_records_per_fsync: half the smallest of five runs
+// on a 4-core host (4.00-4.04). A log that fsynced each record reads 1.
+constexpr double kMinRecordsPerFsync = 2.0;
 
-enum class Mode { kOff, kPerCommitFsync, kGroupCommit };
+struct RunResult {
+  double commits_per_sec = 0.0;
+  /// Records appended per fsync during the timed phase (0 when the WAL
+  /// is off).
+  double records_per_fsync = 0.0;
+};
 
 /// Raw fsync latency on the bench directory's filesystem — the cost
 /// group commit amortizes.
@@ -69,16 +73,15 @@ double MeasureFsyncMicros(int iters) {
 }
 
 /// `sessions` threads, each committing `commits` single-row INSERTs
-/// into its own table. Returns commits per second over the whole run.
-double CommitsPerSecond(Mode mode, int sessions, int commits) {
+/// into its own table, with the WAL on or off.
+RunResult Run(bool wal, int sessions, int commits) {
   const std::string dir = std::string(kBenchDir) + "/run";
   std::filesystem::remove_all(dir);
 
   YoutopiaConfig config;
-  if (mode != Mode::kOff) {
+  if (wal) {
     config.wal.enabled = true;
     config.wal.dir = dir;
-    config.wal.group_commit = mode == Mode::kGroupCommit;
     config.wal.checkpoint_on_shutdown = false;  // measure appends only
   }
   auto db = std::make_unique<Youtopia>(config);
@@ -89,6 +92,7 @@ double CommitsPerSecond(Mode mode, int sessions, int commits) {
   }
   if (!db->ExecuteScript(schema_script).ok()) std::abort();
 
+  const wal::WalStats before = wal ? db->wal()->stats() : wal::WalStats();
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   threads.reserve(sessions);
@@ -106,21 +110,34 @@ double CommitsPerSecond(Mode mode, int sessions, int commits) {
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - start)
                           .count();
+  RunResult result;
+  if (wal) {
+    const wal::WalStats after = db->wal()->stats();
+    const size_t fsyncs = after.fsyncs - before.fsyncs;
+    result.records_per_fsync =
+        fsyncs > 0 ? static_cast<double>(after.records_appended -
+                                         before.records_appended) /
+                         static_cast<double>(fsyncs)
+                   : 0.0;
+  }
   db.reset();
   std::filesystem::remove_all(dir);
   const double total =
       static_cast<double>(sessions) * static_cast<double>(commits);
-  return micros > 0 ? total * 1e6 / static_cast<double>(micros) : 0.0;
+  result.commits_per_sec =
+      micros > 0 ? total * 1e6 / static_cast<double>(micros) : 0.0;
+  return result;
 }
 
-/// Best of `trials` runs: fsync-bound measurements are noisy (the
-/// flusher races the page cache and whatever else the machine is
-/// doing), and peak throughput is what the mode is capable of.
-double BestCommitsPerSecond(Mode mode, int sessions, int commits,
-                            int trials) {
-  double best = 0.0;
+/// The run with the highest throughput out of `trials`: fsync-bound
+/// measurements are noisy (the flusher races the page cache and
+/// whatever else the machine is doing), and peak throughput is what the
+/// mode is capable of.
+RunResult Best(bool wal, int sessions, int commits, int trials) {
+  RunResult best;
   for (int t = 0; t < trials; ++t) {
-    best = std::max(best, CommitsPerSecond(mode, sessions, commits));
+    const RunResult run = Run(wal, sessions, commits);
+    if (run.commits_per_sec > best.commits_per_sec) best = run;
   }
   return best;
 }
@@ -136,35 +153,23 @@ int main(int argc, char** argv) {
   const double fsync_us = MeasureFsyncMicros(200);
   std::printf("raw fsync: %.1f us\n", fsync_us);
 
-  const double off_1 = BestCommitsPerSecond(Mode::kOff, 1, commits, trials);
-  const double off_n =
-      BestCommitsPerSecond(Mode::kOff, sessions, commits, trials);
-  const double percommit_1 =
-      BestCommitsPerSecond(Mode::kPerCommitFsync, 1, commits, trials);
-  const double percommit_n =
-      BestCommitsPerSecond(Mode::kPerCommitFsync, sessions, commits, trials);
-  const double group_1 =
-      BestCommitsPerSecond(Mode::kGroupCommit, 1, commits, trials);
-  const double group_n =
-      BestCommitsPerSecond(Mode::kGroupCommit, sessions, commits, trials);
+  const RunResult off_1 = Best(false, 1, commits, trials);
+  const RunResult off_n = Best(false, sessions, commits, trials);
+  const RunResult group_1 = Best(true, 1, commits, trials);
+  const RunResult group_n = Best(true, sessions, commits, trials);
   std::filesystem::remove_all(kBenchDir);
 
-  std::printf("commits/s (1 session):  off %.0f, fsync-per-commit %.0f, "
-              "group-commit %.0f\n",
-              off_1, percommit_1, group_1);
-  std::printf("commits/s (%d sessions): off %.0f, fsync-per-commit %.0f, "
-              "group-commit %.0f\n",
-              sessions, off_n, percommit_n, group_n);
+  std::printf("commits/s (1 session):  off %.0f, group-commit %.0f\n",
+              off_1.commits_per_sec, group_1.commits_per_sec);
+  std::printf("commits/s (%d sessions): off %.0f, group-commit %.0f\n",
+              sessions, off_n.commits_per_sec, group_n.commits_per_sec);
+  std::printf("records per fsync at %d sessions: %.2f\n", sessions,
+              group_n.records_per_fsync);
 
-  const double speedup_n = percommit_n > 0.0 ? group_n / percommit_n : 0.0;
-  std::printf("group-commit speedup at %d sessions: %.2fx\n", sessions,
-              speedup_n);
-
-  const bool ok = speedup_n >= 3.0;
+  const bool ok = group_n.records_per_fsync >= kMinRecordsPerFsync;
   if (!ok) {
-    std::fprintf(stderr,
-                 "FAIL: group-commit speedup %.2fx below the 3x bar\n",
-                 speedup_n);
+    std::fprintf(stderr, "FAIL: %.2f records per fsync below the %.1f floor\n",
+                 group_n.records_per_fsync, kMinRecordsPerFsync);
   }
 
   FILE* out = std::fopen(out_path.c_str(), "w");
@@ -179,13 +184,12 @@ int main(int argc, char** argv) {
                "  \"fsync_us\": %.2f,\n"
                "  \"off_1s_commits_per_sec\": %.1f,\n"
                "  \"off_8s_commits_per_sec\": %.1f,\n"
-               "  \"percommit_1s_commits_per_sec\": %.1f,\n"
-               "  \"percommit_8s_commits_per_sec\": %.1f,\n"
                "  \"group_1s_commits_per_sec\": %.1f,\n"
                "  \"group_8s_commits_per_sec\": %.1f,\n"
-               "  \"group_commit_speedup_8s\": %.3f\n}\n",
-               commits, sessions, fsync_us, off_1, off_n, percommit_1,
-               percommit_n, group_1, group_n, speedup_n);
+               "  \"group_8s_records_per_fsync\": %.3f\n}\n",
+               commits, sessions, fsync_us, off_1.commits_per_sec,
+               off_n.commits_per_sec, group_1.commits_per_sec,
+               group_n.commits_per_sec, group_n.records_per_fsync);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
   return ok ? 0 : 1;

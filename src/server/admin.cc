@@ -18,16 +18,11 @@ std::string AdminSnapshot::ToString() const {
                         static_cast<unsigned long long>(t.version));
     out += "\n";
   }
-  out += "-- MVCC --\n";
-  if (!mvcc.enabled) {
-    out += "  disabled (mvcc.num_versions = 1)\n";
-  } else {
-    out += StringPrintf(
-        "  num_versions=%zu clock=%llu watermark=%llu active_snapshots=%zu\n",
-        mvcc.num_versions, static_cast<unsigned long long>(mvcc.clock),
-        static_cast<unsigned long long>(mvcc.watermark),
-        mvcc.active_snapshots);
-  }
+  out += StringPrintf(
+      "-- MVCC --\n  num_versions=%zu clock=%llu watermark=%llu "
+      "active_snapshots=%zu\n",
+      mvcc.num_versions, static_cast<unsigned long long>(mvcc.clock),
+      static_cast<unsigned long long>(mvcc.watermark), mvcc.active_snapshots);
   out += StringPrintf(
       "-- Access path --\n  full_walks=%llu rows_copied=%llu "
       "postings_read=%llu\n",
@@ -130,7 +125,6 @@ AdminSnapshot TakeAdminSnapshot(const Youtopia& db) {
     entry.version = info.version;
     snapshot.tables.push_back(std::move(entry));
   }
-  snapshot.mvcc.enabled = storage.mvcc_enabled();
   snapshot.mvcc.num_versions = storage.num_versions();
   snapshot.mvcc.clock = storage.mvcc().clock();
   snapshot.mvcc.watermark = storage.mvcc().watermark();

@@ -24,10 +24,9 @@ struct AdminSnapshot {
     uint64_t version = 0;
   };
 
-  /// MVCC state (design decision #10); meaningful when `mvcc_enabled`.
+  /// MVCC state (design decision #10).
   struct MvccEntry {
-    bool enabled = false;
-    size_t num_versions = 1;
+    size_t num_versions = 0;
     uint64_t clock = 0;
     uint64_t watermark = 0;
     size_t active_snapshots = 0;

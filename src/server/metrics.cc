@@ -72,6 +72,14 @@ void AppendEngineMetrics(const Youtopia& db, std::string* out) {
   AppendMetric("youtopia_coordinator_match_calls_total", "counter",
                static_cast<double>(coord.match_calls), out);
 
+  const MvccController& mvcc = db.storage().mvcc();
+  AppendMetric("youtopia_mvcc_clock", "gauge",
+               static_cast<double>(mvcc.clock()), out);
+  AppendMetric("youtopia_mvcc_watermark", "gauge",
+               static_cast<double>(mvcc.watermark()), out);
+  AppendMetric("youtopia_mvcc_active_snapshots", "gauge",
+               static_cast<double>(mvcc.active_snapshots()), out);
+
   const StorageEngine::AccessStats access = db.storage().access_stats();
   AppendMetric("youtopia_storage_full_walks_total", "counter",
                static_cast<double>(access.full_walks), out);

@@ -51,10 +51,9 @@ Result<QueryResult> ExecuteLocked(Executor* executor, TxnManager* txns,
                                   wal::Lsn* logged_lsn) {
   const Statement& stmt = *prepared.stmt;
   const TableRefs& refs = prepared.refs;
-  if (txns->mvcc_enabled() && stmt.kind == StatementKind::kSelect &&
-      refs.writes.empty()) {
-    // The browse path (design decision #10): a regular SELECT under
-    // MVCC takes *no locks at all* — no transaction, no S locks, no
+  if (stmt.kind == StatementKind::kSelect && refs.writes.empty()) {
+    // The browse path (design decision #10): a regular SELECT takes
+    // *no locks at all* — no transaction, no S locks, no
     // lock-manager traffic. It opens a snapshot at the current
     // watermark and resolves every scan, index probe and subquery at
     // that timestamp; writers stamp their versions at commit, so the
@@ -121,18 +120,16 @@ Result<QueryResult> ExecuteLocked(Executor* executor, TxnManager* txns,
       prepared.plan.has_value() && PreparedStatementFresh(prepared, catalog)
           ? &*prepared.plan
           : nullptr;
-  // Under MVCC the statement's writes are tagged with the surrounding
-  // lock-holding transaction: they enter storage as *pending* versions,
-  // invisible to every snapshot, and Commit below stamps them all with
-  // one timestamp — a multi-row UPDATE (or a coordination install)
-  // becomes visible to lock-free readers atomically, never row by row.
-  // Unversioned mode passes 0 and keeps the seed's in-place writes.
-  const TxnId dml_txn = txns->mvcc_enabled() ? txn->id() : 0;
+  // The statement's writes are tagged with the surrounding lock-holding
+  // transaction: they enter storage as *pending* versions, invisible to
+  // every snapshot, and Commit below stamps them all with one timestamp
+  // — a multi-row UPDATE (or a coordination install) becomes visible to
+  // lock-free readers atomically, never row by row.
   auto result =
       plan != nullptr
           ? executor->ExecutePlanned(static_cast<const SelectStatement&>(stmt),
                                      *plan)
-          : executor->Execute(stmt, dml_txn);
+          : executor->Execute(stmt, txn->id());
   if (result.ok() && journal) {
     // Append while still holding the write locks: no conflicting
     // statement can slip between this record and its effects, so log
@@ -163,7 +160,6 @@ bool PreparedStatementFresh(const PreparedStatement& prepared,
 
 Youtopia::Youtopia(YoutopiaConfig config)
     : config_(config),
-      storage_(config.mvcc.num_versions),
       executor_(&storage_),
       txn_manager_(&storage_),
       coordinator_(&storage_, &txn_manager_, config.coordinator),

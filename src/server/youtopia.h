@@ -27,26 +27,9 @@ namespace wal {
 class WalCoordinatorJournal;
 }
 
-/// Multi-version storage configuration (design decision #10).
-struct MvccConfig {
-  /// Versions retained per row, newest-first. >= 2 enables MVCC: every
-  /// regular SELECT runs lock-free against a snapshot timestamp, and
-  /// writers keep strict 2PL, stamping new versions at commit. 1 keeps
-  /// exactly one version per row — the seed's in-place 2PL semantics,
-  /// byte for byte (SELECTs lock, updates overwrite, aborts replay the
-  /// undo log). The cap is a retention *budget*, not a hard bound: a
-  /// version an open snapshot can still see is never reclaimed, so
-  /// chains may transiently exceed it while old snapshots are live.
-  size_t num_versions = 4;
-};
-
 /// Whole-system configuration.
 struct YoutopiaConfig {
   CoordinatorConfig coordinator;
-  /// Tuple versioning + snapshot reads (design decision #10).
-  /// num_versions = 1 degrades to the seed's single-version 2PL
-  /// behavior.
-  MvccConfig mvcc;
   /// After regular DML changes a table, automatically re-run matching
   /// for pending entangled queries whose domain predicates read it —
   /// the paper's "waits for an opportunity to retry" without manual

@@ -67,13 +67,8 @@ Status HeapTable::Delete(RowId rid, VersionStamp stamp) {
   if (rid >= slots_.size() || !HeadLive(slots_[rid])) {
     return Status::NotFound("no row " + std::to_string(rid) + " in " + name_);
   }
-  if (!versioned()) {
-    slots_[rid].clear();
-  } else {
-    slots_[rid].insert(
-        slots_[rid].begin(),
-        TupleVersion{Tuple(), stamp.begin_ts, stamp.writer, true});
-  }
+  slots_[rid].insert(slots_[rid].begin(),
+                     TupleVersion{Tuple(), stamp.begin_ts, stamp.writer, true});
   --live_count_;
   return Status::OK();
 }
@@ -88,10 +83,6 @@ Status HeapTable::Update(RowId rid, const Tuple& tuple, VersionStamp stamp,
     return Status::NotFound("no row " + std::to_string(rid) + " in " + name_);
   }
   VersionChain& chain = slots_[rid];
-  if (!versioned()) {
-    chain.front().tuple = validated.TakeValue();
-    return Status::OK();
-  }
   TupleVersion& head = chain.front();
   if (!Committed(head) && head.writer == stamp.writer &&
       stamp.begin_ts == kPendingTs) {
@@ -105,24 +96,6 @@ Status HeapTable::Update(RowId rid, const Tuple& tuple, VersionStamp stamp,
   chain.insert(chain.begin(),
                TupleVersion{validated.TakeValue(), stamp.begin_ts,
                             stamp.writer, false});
-  return Status::OK();
-}
-
-Status HeapTable::Restore(RowId rid, const Tuple& tuple) {
-  auto validated = tuple.ValidateAgainst(schema_);
-  if (!validated.ok()) return validated.status();
-  WriterMutexLock lock(latch_);
-  if (rid >= slots_.size()) {
-    return Status::OutOfRange("slot " + std::to_string(rid) +
-                              " was never allocated in " + name_);
-  }
-  if (!slots_[rid].empty()) {
-    return Status::AlreadyExists("slot " + std::to_string(rid) + " in " +
-                                 name_ + " is live");
-  }
-  slots_[rid].push_back(
-      TupleVersion{validated.TakeValue(), kBaseTs, 0, false});
-  ++live_count_;
   return Status::OK();
 }
 

@@ -52,21 +52,24 @@ struct VersionStamp {
   static VersionStamp Pending(TxnId txn) { return {kPendingTs, txn}; }
 };
 
+/// Versions retained per row when no budget is given: the retention
+/// budget of every heap the server runs.
+constexpr size_t kDefaultNumVersions = 4;
+
 /// In-memory slotted heap: an append-only vector of slots, each holding
 /// a newest-first version chain. This is the physical layer every scan
 /// and index probe bottoms out in. Thread-safe via a reader/writer
 /// latch; multi-statement atomicity is layered on top by the
 /// transaction manager and the MVCC commit protocol.
 ///
-/// `num_versions == 1` (the default) is the unversioned mode: updates
-/// replace in place, deletes empty the slot, every chain holds at most
-/// one committed version — byte-for-byte the pre-MVCC semantics.
-/// `num_versions >= 2` keeps up to that many versions per slot for
-/// snapshot readers; pruning (CommitVersions / Prune) keeps more only
-/// while a live snapshot still needs them.
+/// Updates and deletes push a new head version (a tombstone for a
+/// delete), so snapshot readers keep seeing older versions. Pruning
+/// (CommitVersions / Prune) trims each chain to `num_versions`, keeping
+/// more only while a live snapshot still needs them.
 class HeapTable {
  public:
-  HeapTable(std::string name, Schema schema, size_t num_versions = 1)
+  HeapTable(std::string name, Schema schema,
+            size_t num_versions = kDefaultNumVersions)
       : name_(std::move(name)),
         schema_(std::move(schema)),
         num_versions_(num_versions < 1 ? 1 : num_versions) {}
@@ -77,12 +80,10 @@ class HeapTable {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   size_t num_versions() const { return num_versions_; }
-  /// True when snapshot readers can be served (num_versions >= 2).
-  bool versioned() const { return num_versions_ > 1; }
 
   /// Validates against the schema (coercing as needed) and appends a
-  /// new slot whose first version carries `stamp`. The default stamp is
-  /// committed-at-base, the unversioned behavior.
+  /// new slot whose first version carries `stamp` (by default committed
+  /// at kBaseTs, visible to every snapshot).
   Result<RowId> Insert(const Tuple& tuple,
                        VersionStamp stamp = VersionStamp::Committed(kBaseTs));
 
@@ -98,26 +99,20 @@ class HeapTable {
   /// True iff `rid`'s head version is live (non-tombstone).
   bool Contains(RowId rid) const;
 
-  /// Tombstones the row; NotFound if already dead or out of range.
-  /// Unversioned mode empties the slot; versioned mode pushes a
-  /// tombstone version carrying `stamp`.
+  /// Pushes a tombstone version carrying `stamp`; NotFound if the row is
+  /// already dead or out of range.
   Status Delete(RowId rid,
                 VersionStamp stamp = VersionStamp::Committed(kBaseTs));
 
-  /// Replaces the row (same RowId). Validates the new tuple.
-  /// Unversioned mode overwrites in place; versioned mode pushes a new
-  /// version carrying `stamp` (pruning happens at commit, not here) —
-  /// except when the pending head already belongs to `stamp`'s writer,
-  /// which collapses in place and reports `*collapsed` = true (the only
-  /// way an Update can make a previously-held index key vanish).
+  /// Replaces the row (same RowId). Validates the new tuple and pushes
+  /// a new version carrying `stamp` (pruning happens at commit, not
+  /// here) — except when the pending head already belongs to `stamp`'s
+  /// writer, which collapses in place and reports `*collapsed` = true
+  /// (the only way an Update can make a previously-held index key
+  /// vanish).
   Status Update(RowId rid, const Tuple& tuple,
                 VersionStamp stamp = VersionStamp::Committed(kBaseTs),
                 bool* collapsed = nullptr);
-
-  /// Resurrects a dead slot with `tuple` under its original RowId.
-  /// Used exclusively by unversioned transaction rollback to undo a
-  /// delete exactly; fails if the slot is out of range or still live.
-  Status Restore(RowId rid, const Tuple& tuple);
 
   /// Stamps every pending version `txn` wrote in slot `rid` with
   /// `commit_ts`, then prunes the chain against `low_water` (see

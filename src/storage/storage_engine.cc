@@ -8,24 +8,39 @@ namespace youtopia {
 
 namespace {
 
-/// Issues an auto-commit timestamp on construction and retires it
-/// (advancing the watermark) on scope exit — error paths included, so a
-/// failed write can never wedge the watermark below the clock.
+/// For an auto-commit writer (`txn == 0`): issues a commit timestamp
+/// and reads the GC low-water mark on construction, and retires the
+/// timestamp (advancing the watermark) on scope exit — error paths
+/// included, so a failed write can never wedge the watermark below the
+/// clock. Transactional writers stay pending until CommitTxn, so for
+/// them it does nothing. Constructed before the tables latch is taken
+/// and destroyed after it drops: kMvccClock is never held together with
+/// kStorageTables.
 class ScopedAutoCommit {
  public:
-  explicit ScopedAutoCommit(MvccController* mvcc)
-      : mvcc_(mvcc), ts_(mvcc == nullptr ? 0 : mvcc->BeginCommit()) {}
+  ScopedAutoCommit(MvccController* mvcc, TxnId txn)
+      : mvcc_(txn == 0 ? mvcc : nullptr),
+        txn_(txn),
+        ts_(mvcc_ == nullptr ? 0 : mvcc_->BeginCommit()),
+        low_water_(mvcc_ == nullptr ? 0 : mvcc_->LowWater()) {}
   ~ScopedAutoCommit() {
     if (mvcc_ != nullptr) mvcc_->EndCommit(ts_);
   }
   ScopedAutoCommit(const ScopedAutoCommit&) = delete;
   ScopedAutoCommit& operator=(const ScopedAutoCommit&) = delete;
 
-  Ts ts() const { return ts_; }
+  /// How the write is stamped: committed now, or pending under `txn`.
+  VersionStamp stamp() const {
+    return txn_ != 0 ? VersionStamp::Pending(txn_)
+                     : VersionStamp::Committed(ts_);
+  }
+  Ts low_water() const { return low_water_; }
 
  private:
   MvccController* mvcc_;
+  TxnId txn_;
   Ts ts_;
+  Ts low_water_;
 };
 
 bool ContainsKey(const std::vector<Tuple>& tuples, size_t col,
@@ -87,9 +102,20 @@ void StorageEngine::EraseOrphanedKeys(TableData* data, RowId rid,
   }
 }
 
-void StorageEngine::RecordWrite(TxnId txn, const std::string& table,
-                                RowId rid) {
-  txn_writes_[txn].emplace_back(ToLowerAscii(table), rid);
+void StorageEngine::PruneRow(TableData* data, RowId rid, Ts low_water) {
+  std::vector<Tuple> pruned;
+  if (!data->heap->Prune(rid, low_water, &pruned, nullptr).ok()) return;
+  if (pruned.empty()) return;
+  EraseOrphanedKeys(data, rid, pruned, data->heap->VersionTuples(rid));
+}
+
+void StorageEngine::FinishWrite(TableData* data, const std::string& table,
+                                RowId rid, TxnId txn, Ts low_water) {
+  if (txn != 0) {
+    txn_writes_[txn].emplace_back(ToLowerAscii(table), rid);
+  } else {
+    PruneRow(data, rid, low_water);
+  }
 }
 
 Status StorageEngine::CreateIndex(const std::string& table,
@@ -124,20 +150,12 @@ Status StorageEngine::CreateIndex(const std::string& table,
 
 Result<RowId> StorageEngine::Insert(const std::string& table,
                                     const Tuple& tuple, TxnId txn) {
-  // Auto-commit writers take their timestamp before the tables latch
-  // and retire it after (kMvccClock is never held together with
-  // kStorageTables); transactional writers stay pending until
-  // CommitTxn.
-  ScopedAutoCommit auto_commit(mvcc_enabled() && txn == 0 ? &mvcc_ : nullptr);
+  ScopedAutoCommit auto_commit(&mvcc_, txn);
   WriterMutexLock lock(tables_mu_);
   auto td = FindTable(table);
   if (!td.ok()) return td.status();
   TableData* data = td.value();
-  VersionStamp stamp = !mvcc_enabled() ? VersionStamp::Committed(kBaseTs)
-                       : txn != 0      ? VersionStamp::Pending(txn)
-                                       : VersionStamp::Committed(
-                                             auto_commit.ts());
-  auto rid = data->heap->Insert(tuple, stamp);
+  auto rid = data->heap->Insert(tuple, auto_commit.stamp());
   if (!rid.ok()) return rid.status();
   // The heap validated/coerced the tuple; index the stored form.
   auto stored = data->heap->Get(rid.value());
@@ -145,56 +163,33 @@ Result<RowId> StorageEngine::Insert(const std::string& table,
   for (auto& [col, index] : data->indexes) {
     index->Insert(stored->at(col), rid.value());
   }
-  if (mvcc_enabled() && txn != 0) RecordWrite(txn, table, rid.value());
+  FinishWrite(data, table, rid.value(), txn, auto_commit.low_water());
   return rid.value();
 }
 
 Status StorageEngine::Delete(const std::string& table, RowId rid, TxnId txn) {
-  ScopedAutoCommit auto_commit(mvcc_enabled() && txn == 0 ? &mvcc_ : nullptr);
+  ScopedAutoCommit auto_commit(&mvcc_, txn);
   WriterMutexLock lock(tables_mu_);
   auto td = FindTable(table);
   if (!td.ok()) return td.status();
   TableData* data = td.value();
-  if (!mvcc_enabled()) {
-    auto old = data->heap->Get(rid);
-    if (!old.ok()) return old.status();
-    YOUTOPIA_RETURN_IF_ERROR(data->heap->Delete(rid));
-    for (auto& [col, index] : data->indexes) {
-      index->Erase(old->at(col), rid);
-    }
-    return Status::OK();
-  }
-  VersionStamp stamp = txn != 0 ? VersionStamp::Pending(txn)
-                                : VersionStamp::Committed(auto_commit.ts());
-  YOUTOPIA_RETURN_IF_ERROR(data->heap->Delete(rid, stamp));
+  YOUTOPIA_RETURN_IF_ERROR(data->heap->Delete(rid, auto_commit.stamp()));
   // Index keys stay: the deleted version remains visible to older
   // snapshots until the tombstone passes below the low-water mark
   // (pruning erases them then; Probe filters until it does).
-  if (txn != 0) RecordWrite(txn, table, rid);
+  FinishWrite(data, table, rid, txn, auto_commit.low_water());
   return Status::OK();
 }
 
 Status StorageEngine::Update(const std::string& table, RowId rid,
                              const Tuple& tuple, TxnId txn) {
-  ScopedAutoCommit auto_commit(mvcc_enabled() && txn == 0 ? &mvcc_ : nullptr);
+  ScopedAutoCommit auto_commit(&mvcc_, txn);
   WriterMutexLock lock(tables_mu_);
   auto td = FindTable(table);
   if (!td.ok()) return td.status();
   TableData* data = td.value();
   auto old = data->heap->Get(rid);
   if (!old.ok()) return old.status();
-  if (!mvcc_enabled()) {
-    YOUTOPIA_RETURN_IF_ERROR(data->heap->Update(rid, tuple));
-    auto stored = data->heap->Get(rid);
-    if (!stored.ok()) return stored.status();
-    for (auto& [col, index] : data->indexes) {
-      index->Erase(old->at(col), rid);
-      index->Insert(stored->at(col), rid);
-    }
-    return Status::OK();
-  }
-  VersionStamp stamp = txn != 0 ? VersionStamp::Pending(txn)
-                                : VersionStamp::Committed(auto_commit.ts());
   // Version-aware index maintenance: a key reachable through any
   // retained version must stay indexed; keys no version holds anymore
   // must go. An Update can only (a) push a new head — so only the new
@@ -205,7 +200,8 @@ Status StorageEngine::Update(const std::string& table, RowId rid,
   // materialized twice per row; this runs under the tables latch, and
   // shortening it is what keeps snapshot readers flowing past writers.
   bool collapsed = false;
-  YOUTOPIA_RETURN_IF_ERROR(data->heap->Update(rid, tuple, stamp, &collapsed));
+  YOUTOPIA_RETURN_IF_ERROR(
+      data->heap->Update(rid, tuple, auto_commit.stamp(), &collapsed));
   if (!data->indexes.empty()) {
     auto stored = data->heap->Get(rid);
     if (!stored.ok()) return stored.status();
@@ -224,27 +220,12 @@ Status StorageEngine::Update(const std::string& table, RowId rid,
       }
     }
   }
-  if (txn != 0) RecordWrite(txn, table, rid);
-  return Status::OK();
-}
-
-Status StorageEngine::Restore(const std::string& table, RowId rid,
-                              const Tuple& tuple) {
-  WriterMutexLock lock(tables_mu_);
-  auto td = FindTable(table);
-  if (!td.ok()) return td.status();
-  TableData* data = td.value();
-  YOUTOPIA_RETURN_IF_ERROR(data->heap->Restore(rid, tuple));
-  auto stored = data->heap->Get(rid);
-  if (!stored.ok()) return stored.status();
-  for (auto& [col, index] : data->indexes) {
-    index->Insert(stored->at(col), rid);
-  }
+  FinishWrite(data, table, rid, txn, auto_commit.low_water());
   return Status::OK();
 }
 
 Status StorageEngine::CommitTxn(TxnId txn) {
-  if (!mvcc_enabled() || txn == 0) return Status::OK();
+  if (txn == 0) return Status::OK();
   {
     ReaderMutexLock lock(tables_mu_);
     if (txn_writes_.count(txn) == 0) return Status::OK();
@@ -280,7 +261,7 @@ Status StorageEngine::CommitTxn(TxnId txn) {
 }
 
 Status StorageEngine::AbortTxn(TxnId txn) {
-  if (!mvcc_enabled() || txn == 0) return Status::OK();
+  if (txn == 0) return Status::OK();
   WriterMutexLock lock(tables_mu_);
   auto it = txn_writes_.find(txn);
   if (it == txn_writes_.end()) return Status::OK();
@@ -398,16 +379,11 @@ Status StorageEngine::LoadTableSnapshot(
 }
 
 void StorageEngine::Vacuum() {
-  if (!mvcc_enabled()) return;
   const Ts low_water = mvcc_.LowWater();
   WriterMutexLock lock(tables_mu_);
   for (auto& [name, data] : tables_) {
     const size_t slots = data.heap->slot_count();
-    for (RowId rid = 0; rid < slots; ++rid) {
-      std::vector<Tuple> pruned;
-      if (!data.heap->Prune(rid, low_water, &pruned, nullptr).ok()) continue;
-      EraseOrphanedKeys(&data, rid, pruned, data.heap->VersionTuples(rid));
-    }
+    for (RowId rid = 0; rid < slots; ++rid) PruneRow(&data, rid, low_water);
   }
 }
 

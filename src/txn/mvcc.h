@@ -11,7 +11,7 @@ namespace youtopia {
 
 /// Commit timestamp. Timestamps are issued by one MvccController per
 /// engine; 0 is "no snapshot" (current reads) and versions loaded from
-/// a checkpoint or created in unversioned mode carry kBaseTs.
+/// a checkpoint carry kBaseTs.
 using Ts = uint64_t;
 
 /// Transaction id (same alias as txn/lock_manager.h; redeclared here so

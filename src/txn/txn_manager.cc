@@ -25,7 +25,6 @@ Result<RowId> TxnManager::Insert(Transaction* txn, const std::string& table,
       lock_manager_.Acquire(txn->id(), table, LockMode::kExclusive));
   auto rid = storage_->Insert(table, tuple, txn->id());
   if (!rid.ok()) return rid.status();
-  txn->RecordInsert(table, rid.value());
   // Redo after-image in stored form: the heap may have coerced the
   // tuple (e.g. nullable widening), and replay must reproduce storage
   // bytes, not caller bytes.
@@ -40,10 +39,7 @@ Status TxnManager::Delete(Transaction* txn, const std::string& table,
   YOUTOPIA_RETURN_IF_ERROR(EnsureActive(txn));
   YOUTOPIA_RETURN_IF_ERROR(
       lock_manager_.Acquire(txn->id(), table, LockMode::kExclusive));
-  auto old = storage_->Get(table, rid);
-  if (!old.ok()) return old.status();
   YOUTOPIA_RETURN_IF_ERROR(storage_->Delete(table, rid, txn->id()));
-  txn->RecordDelete(table, rid, old.TakeValue());
   txn->RecordRedo({RedoEntry::Kind::kDelete, table, rid, Tuple()});
   return Status::OK();
 }
@@ -53,10 +49,7 @@ Status TxnManager::Update(Transaction* txn, const std::string& table,
   YOUTOPIA_RETURN_IF_ERROR(EnsureActive(txn));
   YOUTOPIA_RETURN_IF_ERROR(
       lock_manager_.Acquire(txn->id(), table, LockMode::kExclusive));
-  auto old = storage_->Get(table, rid);
-  if (!old.ok()) return old.status();
   YOUTOPIA_RETURN_IF_ERROR(storage_->Update(table, rid, tuple, txn->id()));
-  txn->RecordUpdate(table, rid, old.TakeValue());
   auto stored = storage_->Get(table, rid);
   txn->RecordRedo({RedoEntry::Kind::kUpdate, table, rid,
                    stored.ok() ? stored.TakeValue() : tuple});
@@ -90,13 +83,11 @@ Result<std::vector<std::pair<RowId, Tuple>>> TxnManager::Probe(
 
 Status TxnManager::Commit(Transaction* txn) {
   YOUTOPIA_RETURN_IF_ERROR(EnsureActive(txn));
-  if (storage_->mvcc_enabled()) {
-    // Stamp the pending versions with one fresh commit timestamp while
-    // the 2PL locks are still held: lock release must not expose a
-    // half-stamped transaction to current readers, and the watermark
-    // protocol hides it from snapshot readers.
-    YOUTOPIA_RETURN_IF_ERROR(storage_->CommitTxn(txn->id()));
-  }
+  // Stamp the pending versions with one fresh commit timestamp while
+  // the 2PL locks are still held: lock release must not expose a
+  // half-stamped transaction to current readers, and the watermark
+  // protocol hides it from snapshot readers.
+  YOUTOPIA_RETURN_IF_ERROR(storage_->CommitTxn(txn->id()));
   txn->set_state(TxnState::kCommitted);
   lock_manager_.ReleaseAll(txn->id());
   return Status::OK();
@@ -104,46 +95,11 @@ Status TxnManager::Commit(Transaction* txn) {
 
 Status TxnManager::Abort(Transaction* txn) {
   YOUTOPIA_RETURN_IF_ERROR(EnsureActive(txn));
-  if (storage_->mvcc_enabled()) {
-    // Versioned rollback: pop the transaction's pending versions; the
-    // committed chain underneath is untouched, so no undo replay (and
-    // no Restore) is needed.
-    Status s = storage_->AbortTxn(txn->id());
-    if (!s.ok()) {
-      YOUTOPIA_LOG(kWarning) << "mvcc abort failed: " << s;
-    }
-    txn->set_state(TxnState::kAborted);
-    lock_manager_.ReleaseAll(txn->id());
-    return Status::OK();
-  }
-  const auto& log = txn->undo_log();
-  for (auto it = log.rbegin(); it != log.rend(); ++it) {
-    switch (it->kind) {
-      case UndoEntry::Kind::kInsert: {
-        Status s = storage_->Delete(it->table, it->rid);
-        if (!s.ok()) {
-          YOUTOPIA_LOG(kWarning)
-              << "undo insert failed on " << it->table << ": " << s;
-        }
-        break;
-      }
-      case UndoEntry::Kind::kDelete: {
-        Status s = storage_->Restore(it->table, it->rid, it->old_tuple);
-        if (!s.ok()) {
-          YOUTOPIA_LOG(kWarning)
-              << "undo delete failed on " << it->table << ": " << s;
-        }
-        break;
-      }
-      case UndoEntry::Kind::kUpdate: {
-        Status s = storage_->Update(it->table, it->rid, it->old_tuple);
-        if (!s.ok()) {
-          YOUTOPIA_LOG(kWarning)
-              << "undo update failed on " << it->table << ": " << s;
-        }
-        break;
-      }
-    }
+  // Pop the transaction's pending versions; the committed chain
+  // underneath is untouched.
+  Status s = storage_->AbortTxn(txn->id());
+  if (!s.ok()) {
+    YOUTOPIA_LOG(kWarning) << "abort failed: " << s;
   }
   txn->set_state(TxnState::kAborted);
   lock_manager_.ReleaseAll(txn->id());

@@ -30,7 +30,8 @@ class TxnManager {
   /// and must end via Commit or Abort.
   std::unique_ptr<Transaction> Begin();
 
-  /// Write operations; acquire X table locks and append undo records.
+  /// Write operations; acquire X table locks, write pending versions
+  /// and append redo records.
   Result<RowId> Insert(Transaction* txn, const std::string& table,
                        const Tuple& tuple);
   Status Delete(Transaction* txn, const std::string& table, RowId rid);
@@ -46,22 +47,17 @@ class TxnManager {
       Transaction* txn, const std::string& table,
       const std::vector<ProbeKey>& keys);
 
-  /// Releases locks; the transaction's effects become permanent. In
-  /// MVCC mode this is also where the commit timestamp is issued: the
-  /// storage engine stamps every pending version the transaction wrote
-  /// with one fresh timestamp before the 2PL locks drop, so snapshot
-  /// readers see the whole transaction or none of it.
+  /// Releases locks; the transaction's effects become permanent. This
+  /// is also where the commit timestamp is issued: the storage engine
+  /// stamps every pending version the transaction wrote with one fresh
+  /// timestamp before the 2PL locks drop, so snapshot readers see the
+  /// whole transaction or none of it.
   Status Commit(Transaction* txn);
 
-  /// Rolls back, then releases locks. Unversioned mode replays the undo
-  /// log in reverse (undo of a delete resurrects the row under its
-  /// original RowId, so row identity is preserved across aborts); MVCC
-  /// mode discards the transaction's pending versions instead.
+  /// Rolls back by discarding the transaction's pending versions (the
+  /// committed chains underneath, and so every RowId, are untouched),
+  /// then releases locks.
   Status Abort(Transaction* txn);
-
-  /// True when the storage engine keeps version chains (num_versions
-  /// >= 2) and snapshot reads are available.
-  bool mvcc_enabled() const { return storage_->mvcc_enabled(); }
 
   /// Opens a read-only snapshot at the current watermark: the txn
   /// context for lock-free SELECTs. Closes (and unpins GC) when the

@@ -278,8 +278,8 @@ Status WalManager::RotateIfNeededLocked(size_t incoming_bytes) {
 
 Status WalManager::FlushBatch(const std::string& batch, size_t batch_records,
                               const std::function<bool(CrashPoint)>& hook) {
-  // Runs with flush_in_progress_ set (or under mu_ in inline-append
-  // mode), so this thread owns the fd/segment state. It must NOT touch
+  // Runs with flush_in_progress_ set, so this thread owns the
+  // fd/segment state. It must NOT touch
   // durable_lsn_ or io_error_ — those belong to mu_; callers update
   // them after relocking.
   if (batch.empty()) return Status::OK();
@@ -323,18 +323,8 @@ Result<Lsn> WalManager::AppendLocked(const WalRecord& record) {
   const Lsn lsn = ++appended_lsn_;
   records_appended_.fetch_add(1, std::memory_order_relaxed);
   bytes_appended_.fetch_add(frame.size(), std::memory_order_relaxed);
-  if (config_.group_commit) {
-    pending_ += frame;
-    ++pending_records_;
-  } else {
-    // One fsync per record: the naive log that group commit amortizes.
-    Status s = FlushBatch(frame, 1, crash_hook_);
-    if (!s.ok()) {
-      if (!crashed()) io_error_ = s;
-      return s;
-    }
-    durable_lsn_ = lsn;
-  }
+  pending_ += frame;
+  ++pending_records_;
   return lsn;
 }
 

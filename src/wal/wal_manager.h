@@ -29,12 +29,6 @@ struct WalConfig {
   size_t segment_bytes = 16u << 20;
   /// Log volume after which an automatic checkpoint is worth taking.
   size_t checkpoint_bytes = 64u << 20;
-  /// Group commit (design decision #8): appends buffer in memory and
-  /// Sync elects a leader that flushes every buffered record with ONE
-  /// fsync, waking all waiters. With `false`, every append writes and
-  /// fsyncs inline — the classic one-fsync-per-commit log that
-  /// bench_wal contrasts against.
-  bool group_commit = true;
   /// Turn off to skip fsync syscalls (tests; durability = process
   /// lifetime only).
   bool fsync = true;
@@ -97,9 +91,9 @@ class WalManager {
   /// fresh).
   Status OpenForAppend();
 
-  /// Buffers one record and assigns its LSN. With group_commit=false
-  /// the record is written and fsynced inline instead. Durability is
-  /// only guaranteed after Sync(lsn) returns OK.
+  /// Buffers one record and assigns its LSN (group commit, design
+  /// decision #8: Sync flushes every buffered record with one fsync).
+  /// Durability is only guaranteed after Sync(lsn) returns OK.
   Result<Lsn> Append(const WalRecord& record);
 
   /// Runs `action` and, on success, appends `record`, atomically with

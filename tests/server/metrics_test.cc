@@ -27,5 +27,32 @@ TEST(EngineMetricsTest, ExportsCurrentAndPeakResidentMemory) {
   EXPECT_GE(peak, rss);
 }
 
+TEST(EngineMetricsTest, ExportsMvccClockWatermarkAndSnapshots) {
+  Youtopia db;
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (v INT);"
+                               "INSERT INTO t VALUES (1);"
+                               "INSERT INTO t VALUES (2);")
+                  .ok());
+  const MvccController& mvcc = db.storage().mvcc();
+  SnapshotHandle snap(&db.storage().mvcc());
+  std::string page;
+  AppendEngineMetrics(db, &page);
+  // Two committed inserts advanced the clock; nothing is in flight, so
+  // the watermark has caught up with it.
+  EXPECT_GE(Sample(page, "youtopia_mvcc_clock"), kBaseTs + 2.0) << page;
+  EXPECT_EQ(Sample(page, "youtopia_mvcc_clock"),
+            static_cast<double>(mvcc.clock()));
+  EXPECT_EQ(Sample(page, "youtopia_mvcc_watermark"),
+            static_cast<double>(mvcc.watermark()));
+  EXPECT_EQ(Sample(page, "youtopia_mvcc_watermark"),
+            Sample(page, "youtopia_mvcc_clock"));
+  EXPECT_EQ(Sample(page, "youtopia_mvcc_active_snapshots"), 1) << page;
+
+  snap.Release();
+  page.clear();
+  AppendEngineMetrics(db, &page);
+  EXPECT_EQ(Sample(page, "youtopia_mvcc_active_snapshots"), 0) << page;
+}
+
 }  // namespace
 }  // namespace youtopia

@@ -142,6 +142,24 @@ TEST_F(MvccVisibilityTest, GcNeverReclaimsWhatALiveSnapshotSees) {
   EXPECT_EQ(seen->at(1).int64_value(), 8);
 }
 
+TEST_F(MvccVisibilityTest, AutoCommitWritesPruneLikeCommits) {
+  // Auto-commit writes (txn 0: recovery replay, bulk loads) trim the
+  // chain they touch the way CommitTxn does, so a row rewritten with no
+  // snapshot open keeps only its budget of versions.
+  auto rid = storage_.Insert("T", Row(1, 0));
+  ASSERT_TRUE(rid.ok());
+  SnapshotHandle snap(&storage_.mvcc());
+  const Ts noted = snap.ts();
+  ASSERT_TRUE(storage_.GetSnapshot("T", rid.value(), noted).ok());
+  snap.Release();
+  for (int64_t i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(storage_.Update("T", rid.value(), Row(1, i)).ok());
+  }
+  EXPECT_EQ(storage_.GetSnapshot("T", rid.value(), noted).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(storage_.Get("T", rid.value())->at(1).int64_value(), 50);
+}
+
 TEST_F(MvccVisibilityTest, AbortDiscardsPendingVersions) {
   auto rid = storage_.Insert("T", Row(1, 10));
   ASSERT_TRUE(rid.ok());

@@ -42,7 +42,6 @@ TEST(WalCrashTest, MidGroupCommitCrashWithConcurrentSessions) {
     config.wal.enabled = true;
     config.wal.dir = dir;
     config.wal.fsync = false;
-    config.wal.group_commit = true;
     config.wal.checkpoint_on_shutdown = false;
 
     std::vector<int> acked(kSessions, 0);

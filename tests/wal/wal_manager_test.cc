@@ -91,21 +91,6 @@ TEST(WalManagerTest, InstallRecordCarriesGroupAndWrites) {
   EXPECT_EQ(replayed[0].writes[0].tuple.at(1), Value::Int64(101));
 }
 
-TEST(WalManagerTest, InlineModeIsDurableWithoutSync) {
-  const std::string dir = FreshDir("inline");
-  auto config = TestConfig(dir);
-  config.group_commit = false;
-  {
-    auto wal = OpenWal(config, nullptr);
-    ASSERT_TRUE(wal->Append(WalRecord::Resolve(1)).ok());
-    // No Sync: inline mode wrote it already.
-  }
-  std::vector<WalRecord> replayed;
-  OpenWal(config, &replayed);
-  ASSERT_EQ(replayed.size(), 1u);
-  EXPECT_EQ(replayed[0].type, WalRecordType::kResolve);
-}
-
 TEST(WalManagerTest, RotationSpansSegments) {
   const std::string dir = FreshDir("rotation");
   auto config = TestConfig(dir);
